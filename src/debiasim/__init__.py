@@ -18,9 +18,9 @@ from .dist import (
 from .engines import (
     AgentRecord,
     BatchBuffer,
-    Decision,
     Engine,
     EngineKind,
+    EngineSpec,
     ExplorationSchedule,
     ScheduleMode,
     TwoParamState,
@@ -40,7 +40,6 @@ from .metrics import (
     error_weight,
     exploration_error,
     regret_increment,
-    weighted_regret_increment,
 )
 from .oracle import (
     MedianDensityQuery,
@@ -52,7 +51,6 @@ from .policy import (
     ConstraintKind,
     FairnessConstraint,
     GroupPolicy,
-    PolicyState,
     PopulationSpec,
     expected_loss,
     lower_bound,

@@ -129,7 +129,7 @@ def _cmd_oracle_drift(args) -> int:
                      "--est-params")
     lb = args.lb if args.lb is not None else lower_bound(est, args.theta)
     mean, stderr = oracle_mod.drift_oracle(
-        true_dist, est, lb=lb, theta=args.theta, eps=args.eps,
+        true_dist, est, lb=lb, theta=args.theta,
         batch_size=args.batch, replications=args.reps,
         rng=np.random.default_rng(args.seed),
         mode=UpdateMode(args.update_mode),
@@ -218,7 +218,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dr.add_argument("--support", help="lo,hi for beta")
     p_dr.add_argument("--theta", type=float, required=True)
     p_dr.add_argument("--lb", type=float, help="override the derived lower bound")
-    p_dr.add_argument("--eps", type=float, default=0.5)
     p_dr.add_argument("--batch", type=int, default=50)
     p_dr.add_argument("--reps", type=int, default=500)
     p_dr.add_argument("--seed", type=int, default=0)

@@ -115,10 +115,17 @@ class RunConfig:
         total = sum(self.fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"fractions: must sum to 1, got {total}")
-        active = {k for k, f in self.fractions.items() if f > 0}
-        missing = active - set(self.initial_estimates)
+        # A round closes only when every (group, label) pair has filled its
+        # batch, so each group needs both labels, present and estimated.
+        groups = {g for g, _ in self.fractions} | {g for g, _ in self.initial_estimates}
+        pairs = [(g, y) for g in sorted(groups) for y in (0, 1)]
+        no_mass = [k for k in pairs if not self.fractions.get(k, 0.0) > 0]
+        if no_mass:
+            raise ConfigError(f"fractions: every group needs a positive fraction for both "
+                              f"labels; missing or not positive for pairs {no_mass}")
+        missing = [k for k in pairs if k not in self.initial_estimates]
         if missing:
-            raise ConfigError(f"initial_estimates: missing pairs {sorted(missing)}")
+            raise ConfigError(f"initial_estimates: missing pairs {missing}")
         if self.source.kind == "synthetic" and self.truth is None:
             raise ConfigError("population: required for synthetic sources")
 

@@ -48,17 +48,6 @@ class TruncationWindow:
             raise DomainError(f"truncation window requires lo < hi, got [{self.lo}, {self.hi}]")
 
 
-FULL_WINDOW = TruncationWindow()
-
-
-def _norm_cdf(z):
-    return special.ndtr(z)
-
-
-def _norm_ppf(p):
-    return special.ndtri(p)
-
-
 @dataclass(frozen=True)
 class ParametricEstimate:
     """A distribution fit with one designated unknown parameter.
@@ -97,10 +86,6 @@ class ParametricEstimate:
         """The ref_level-th percentile of the current fit."""
         return self.quantile(self.ref_level / 100.0)
 
-    @property
-    def unknown_param(self) -> float:
-        return self.params[self.unknown_index]
-
     def pdf(self, x):
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
@@ -124,7 +109,7 @@ class ParametricEstimate:
                 return float(special.ndtr((x - mu) / sigma)) if math.isfinite(x) else (
                     0.0 if x < 0 else 1.0)
             z = (np.asarray(x, dtype=float) - mu) / sigma
-            out = _norm_cdf(z)
+            out = special.ndtr(z)
             return float(out) if out.ndim == 0 else out
         a, b = self.params
         lo, hi = self.support
@@ -138,7 +123,7 @@ class ParametricEstimate:
             raise DomainError(f"quantile level must lie in (0, 1), got {p}")
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            out = mu + sigma * _norm_ppf(parr)
+            out = mu + sigma * special.ndtri(parr)
         else:
             a, b = self.params
             lo, hi = self.support
@@ -204,7 +189,7 @@ def param_from_reference(
         raise DomainError(f"ref_level must be in (0, 100), got {ref_level}")
 
     if family is Family.GAUSSIAN:
-        z = float(_norm_ppf(p))
+        z = float(special.ndtri(p))
         if unknown_index == 0:
             mu = ref_value - known_params[1] * z
             return (mu, known_params[1])

@@ -1,6 +1,7 @@
 """Online estimation engines under censored feedback.
 
-Four engines share one admission/update skeleton:
+Four engines share one admission/update loop and differ only in the three
+fields of their ``EngineSpec`` (see ``ENGINE_SPECS``):
 
 * ``ACTIVE_DEBIASING`` admits everyone at or above the threshold and, with
   probability eps, agents inside the bounded exploration window [LB, theta).
@@ -29,7 +30,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 import numpy as np
 from scipy.optimize import brentq
@@ -43,13 +44,13 @@ from .metrics import (
     TraceRow,
     error_weight,
     exploration_error,
+    regret_increment,
 )
 from .policy import (
     FairnessConstraint,
     GroupId,
     GroupPolicy,
     PairKey,
-    PolicyState,
     PopulationSpec,
     lower_bound,
     solve_thresholds,
@@ -68,6 +69,34 @@ class EngineKind(str, Enum):
     ACTIVE_TWO_PARAM = "active_two_param"
 
 
+@dataclass(frozen=True)
+class EngineSpec:
+    """What sets one engine apart from the others.
+
+    ``bounded``: LB reflects theta about the label-0 reference point, each
+    round's batch starts empty and the fit is truncation-corrected for
+    [LB, inf). Otherwise the pool accumulates over rounds, the fit is the
+    plain percentile, and LB is -inf when exploring and theta when not.
+    ``explore``: admit inside [LB, theta) with probability eps and
+    eps-downsample the retention of admits above theta. Otherwise retain
+    every admit and draw no uniform. ``two_param``: bound the label-1
+    window above as well (UB) and re-fit mean and sigma from running
+    truncated moments.
+    """
+
+    bounded: bool
+    explore: bool
+    two_param: bool
+
+
+ENGINE_SPECS: Dict[EngineKind, EngineSpec] = {
+    EngineKind.ACTIVE_DEBIASING: EngineSpec(bounded=True, explore=True, two_param=False),
+    EngineKind.ACTIVE_TWO_PARAM: EngineSpec(bounded=True, explore=True, two_param=True),
+    EngineKind.PURE_EXPLORATION: EngineSpec(bounded=False, explore=True, two_param=False),
+    EngineKind.EXPLOITATION_ONLY: EngineSpec(bounded=False, explore=False, two_param=False),
+}
+
+
 class UpdateMode(str, Enum):
     """How the label-0 reference point is re-fit from a batch.
 
@@ -82,21 +111,10 @@ class UpdateMode(str, Enum):
     WINDOW_MEDIAN = "window_median"
 
 
-@dataclass(slots=True)
-class AgentRecord:
+class AgentRecord(NamedTuple):
     x: float
     y: int
     g: GroupId
-
-    def __post_init__(self) -> None:
-        if self.y not in (0, 1):
-            raise DomainError(f"label must be 0 or 1, got {self.y}")
-
-
-@dataclass(frozen=True)
-class Decision:
-    accepted: bool
-    retained: bool
 
 
 class ScheduleMode(str, Enum):
@@ -126,7 +144,6 @@ class ExplorationSchedule:
 
 def advance_epsilon(
     schedule: ExplorationSchedule,
-    eps: float,
     samples_seen: int,
     observed_err: int = 0,
     expected_err: float = 0.0,
@@ -146,38 +163,36 @@ def advance_epsilon(
 
 
 def decide(
-    kind: EngineKind,
+    spec: EngineSpec,
     policy: GroupPolicy,
     x: float,
     rng: Optional[np.random.Generator] = None,
     u_explore: Optional[float] = None,
     u_retain: Optional[float] = None,
-) -> Decision:
-    """Admission and retain-for-update decision for one arriving agent.
+) -> Tuple[bool, bool]:
+    """(accepted, retained) for one arriving agent.
 
-    One uniform draw per branch: ``u_explore`` decides below-threshold
+    The exploration window is [policy.lb, theta): LB = -inf explores
+    everywhere below theta, LB = theta nowhere. One uniform draw per branch,
+    and none without ``spec.explore``: ``u_explore`` decides window
     admission (and with it retention); ``u_retain`` independently
     downsamples above-threshold admits. Ties are closed below: x == theta
     admits, x == LB counts as inside the exploration window.
     """
-    theta, lb, eps = policy.theta, policy.lb, policy.eps
-
-    if kind is EngineKind.EXPLOITATION_ONLY:
-        accepted = x >= theta
-        return Decision(accepted, accepted)
-
-    if x >= theta:
+    if x >= policy.theta:
+        if not spec.explore:
+            return True, True
         if u_retain is None:
             u_retain = rng.random()
-        return Decision(True, u_retain < eps)
+        return True, u_retain < policy.eps
 
-    if kind is EngineKind.PURE_EXPLORATION or x >= lb:
+    if x >= policy.lb:
         if u_explore is None:
             u_explore = rng.random()
-        accepted = u_explore < eps
-        return Decision(accepted, accepted)
+        accepted = u_explore < policy.eps
+        return accepted, accepted
 
-    return Decision(False, False)
+    return False, False
 
 
 def portion_left(est: ParametricEstimate, lb: float) -> float:
@@ -197,11 +212,8 @@ def portion_left(est: ParametricEstimate, lb: float) -> float:
 
 @dataclass
 class BatchBuffer:
-    """Retained samples for one (group, label) pair plus their collection window."""
+    """Retained samples for one (group, label) pair and the LB their fit corrects for."""
 
-    lb: float
-    theta: float
-    eps: float
     size_gate: int
     update_lb: float = _NEG_INF
     samples: List[float] = field(default_factory=list)
@@ -211,8 +223,8 @@ class BatchBuffer:
         self.samples.append(x)
         self.new_count += 1
 
-    def start_round(self, lb: float, theta: float, eps: float, keep_samples: bool) -> None:
-        self.lb, self.theta, self.eps = lb, theta, eps
+    def start_round(self, update_lb: float, keep_samples: bool) -> None:
+        self.update_lb = update_lb
         self.new_count = 0
         if not keep_samples:
             self.samples.clear()
@@ -313,31 +325,6 @@ def recover_sigma(s_trunc2: float, mu: float, a: float, b: float) -> float:
     return float(brentq(residual, lo, hi, rtol=1e-9, xtol=1e-12))
 
 
-def _solve_policy(
-    kind: EngineKind,
-    estimates: Mapping[PairKey, ParametricEstimate],
-    fractions: Mapping[PairKey, float],
-    constraint: FairnessConstraint,
-    groups: Tuple[GroupId, ...],
-    eps: Mapping[GroupId, float],
-) -> PolicyState:
-    thetas = solve_thresholds(estimates, fractions, constraint)
-    state = PolicyState()
-    for g in groups:
-        theta = thetas[g]
-        if kind is EngineKind.EXPLOITATION_ONLY:
-            lb = theta
-        elif kind is EngineKind.PURE_EXPLORATION:
-            lb = _NEG_INF
-        else:
-            lb = lower_bound(estimates[(g, 0)], theta)
-        ub = None
-        if kind is EngineKind.ACTIVE_TWO_PARAM:
-            ub = upper_bound(estimates[(g, 1)], lb)
-        state.groups[g] = GroupPolicy(theta=theta, lb=lb, eps=eps[g], ub=ub)
-    return state
-
-
 class Engine:
     """One seeded online run: admission, batch collection, estimate updates.
 
@@ -362,14 +349,14 @@ class Engine:
         config_hash: str = "",
         seed: int = 0,
     ):
-        if kind is EngineKind.ACTIVE_TWO_PARAM:
+        self.spec = spec = ENGINE_SPECS[kind]
+        if spec.two_param:
             bad = [k for k, e in estimates.items()
                    if e.family is not Family.GAUSSIAN or e.ref_level != 50.0]
             if bad:
                 raise DomainError(
                     f"two-parameter mode needs Gaussian estimates with median reference, got {bad}"
                 )
-        self.kind = kind
         self.estimates: Dict[PairKey, ParametricEstimate] = dict(estimates)
         self.fractions = dict(fractions)
         self.constraint = constraint
@@ -378,12 +365,16 @@ class Engine:
         self.rng = rng
         self.truth = truth
         self.update_mode = update_mode
+        # Label-0 admits at or above theta are kept out of the fit when it
+        # only looks below theta: the two-parameter window [LB, theta), or a
+        # bounded engine's window median.
+        self._drop_label0_above = spec.two_param or (
+            spec.bounded and update_mode is UpdateMode.WINDOW_MEDIAN
+        )
         self.pairs: List[PairKey] = sorted(self.estimates)
         self.groups: Tuple[GroupId, ...] = tuple(sorted({g for g, _ in self.pairs}))
 
-        self.eps: Dict[GroupId, float] = {g: schedule.eps0 for g in self.groups}
-        self.policy = _solve_policy(kind, self.estimates, self.fractions,
-                                    constraint, self.groups, self.eps)
+        self.policy = self._solve_policy({g: schedule.eps0 for g in self.groups})
 
         self.oracle: Optional[OracleBaseline] = None
         self._weighted_ok = False
@@ -394,7 +385,7 @@ class Engine:
             )
 
         self.two_param: Dict[PairKey, TwoParamState] = {}
-        if kind is EngineKind.ACTIVE_TWO_PARAM:
+        if spec.two_param:
             self.two_param = {
                 key: TwoParamState(sigma_hat=self.estimates[key].params[1])
                 for key in self.pairs
@@ -410,16 +401,12 @@ class Engine:
         self.cum_explore_err: Dict[GroupId, float] = {g: 0.0 for g in self.groups}
         self._monitor = {g: {"start": 0, "obs": 0, "exp": 0.0} for g in self.groups}
 
-        keep = kind in (EngineKind.EXPLOITATION_ONLY, EngineKind.PURE_EXPLORATION)
-        self._cumulative_pools = keep
         self.buffers: Dict[PairKey, BatchBuffer] = {
-            key: BatchBuffer(lb=self.policy[key[0]].lb, theta=self.policy[key[0]].theta,
-                             eps=self.eps[key[0]], size_gate=self.batch_gate)
-            for key in self.pairs
+            key: BatchBuffer(size_gate=self.batch_gate) for key in self.pairs
         }
 
         self.trace = RunTrace(self.groups, self.pairs, seed=seed, config_hash=config_hash,
-                              two_param=bool(self.two_param))
+                              two_param=spec.two_param)
         self._true_refs: Dict[PairKey, Optional[float]] = {}
         for key in self.pairs:
             if truth is not None and key in truth.dists:
@@ -428,15 +415,29 @@ class Engine:
             else:
                 self._true_refs[key] = None
 
+    def _solve_policy(self, eps: Mapping[GroupId, float]) -> Dict[GroupId, GroupPolicy]:
+        thetas = solve_thresholds(self.estimates, self.fractions, self.constraint)
+        policy: Dict[GroupId, GroupPolicy] = {}
+        for g in self.groups:
+            theta = thetas[g]
+            if self.spec.bounded:
+                lb = lower_bound(self.estimates[(g, 0)], theta)
+            else:
+                lb = _NEG_INF if self.spec.explore else theta
+            ub = upper_bound(self.estimates[(g, 1)], lb) if self.spec.two_param else None
+            policy[g] = GroupPolicy(theta=theta, lb=lb, eps=eps[g], ub=ub)
+        return policy
+
     # -- bookkeeping -----------------------------------------------------
 
     def _emit_row(self) -> None:
+        two_param = self.spec.two_param
         row = TraceRow(
             t=self.updates,
             samples_seen=self.samples_seen,
             theta={g: self.policy[g].theta for g in self.groups},
             lb={g: self.policy[g].lb for g in self.groups},
-            eps=dict(self.eps),
+            eps={g: self.policy[g].eps for g in self.groups},
             omega_hat={k: self.estimates[k].ref_value for k in self.pairs},
             omega_true=dict(self._true_refs),
             cum_fp=self.cum_fp,
@@ -444,9 +445,9 @@ class Engine:
             cum_regret=self.cum_regret,
             cum_weighted_regret=self.cum_weighted_regret,
             cum_exploration_error=dict(self.cum_explore_err),
-            ub={g: self.policy[g].ub for g in self.groups} if self.two_param else None,
+            ub={g: self.policy[g].ub for g in self.groups} if two_param else None,
             sigma_hat={k: self.two_param[k].sigma_hat for k in self.pairs}
-            if self.two_param else None,
+            if two_param else None,
         )
         self.trace.append(row)
 
@@ -461,45 +462,32 @@ class Engine:
     def _advance_eps(self, g: GroupId) -> None:
         seen = self.group_samples[g]
         if self.schedule.mode is ScheduleMode.FIXED_STEP:
-            self.eps[g] = advance_epsilon(self.schedule, self.eps[g], seen)
-            self.policy[g].eps = self.eps[g]
+            self.policy[g].eps = advance_epsilon(self.schedule, seen)
             return
         mon = self._monitor[g]
         if seen - mon["start"] >= self.schedule.window:
-            self.eps[g] = advance_epsilon(self.schedule, self.eps[g], seen,
-                                          observed_err=mon["obs"], expected_err=mon["exp"])
-            self.policy[g].eps = self.eps[g]
+            self.policy[g].eps = advance_epsilon(self.schedule, seen, observed_err=mon["obs"],
+                                                 expected_err=mon["exp"])
             mon["start"], mon["obs"], mon["exp"] = seen, 0, 0.0
 
-    def _retain_in_buffer(self, key: PairKey, x: float, decision: Decision,
-                          gp: GroupPolicy) -> None:
-        if not decision.retained:
+    def _retain_in_buffer(self, key: PairKey, x: float, gp: GroupPolicy) -> None:
+        if key[1] == 0:
+            if x >= gp.theta and self._drop_label0_above:
+                return
+        elif gp.ub is not None and x > gp.ub:
             return
-        g, y = key
-        if self.kind is EngineKind.ACTIVE_TWO_PARAM:
-            if y == 0 and x >= gp.theta:
-                return
-            if y == 1 and gp.ub is not None and x > gp.ub:
-                return
+        if self.spec.two_param:
             twoparam_update(self.two_param[key], x)
-        elif (self.kind is EngineKind.ACTIVE_DEBIASING
-              and self.update_mode is UpdateMode.WINDOW_MEDIAN
-              and y == 0 and x >= gp.theta):
-            return
         self.buffers[key].add(x)
 
     # -- round machinery ---------------------------------------------------
 
     def _start_round(self) -> Dict[GroupId, Dict[str, int]]:
+        bounded = self.spec.bounded
         for key in self.pairs:
-            g = key[0]
-            gp = self.policy[g]
-            buf = self.buffers[key]
-            buf.start_round(gp.lb, gp.theta, self.eps[g], keep_samples=self._cumulative_pools)
-            buf.update_lb = gp.lb if self.kind in (
-                EngineKind.ACTIVE_DEBIASING, EngineKind.ACTIVE_TWO_PARAM
-            ) else _NEG_INF
-        return {g: {"n0": 0, "n1": 0, "eps": self.eps[g]} for g in self.groups}
+            update_lb = self.policy[key[0]].lb if bounded else _NEG_INF
+            self.buffers[key].start_round(update_lb, keep_samples=not bounded)
+        return {g: {"n0": 0, "n1": 0, "eps": self.policy[g].eps} for g in self.groups}
 
     def _gate_met(self) -> bool:
         return all(self.buffers[key].new_count >= self.batch_gate for key in self.pairs)
@@ -514,28 +502,24 @@ class Engine:
                 gp.theta, gp.lb, counts["eps"], counts["n0"], counts["n1"],
             )
 
-        if self.kind is EngineKind.ACTIVE_TWO_PARAM:
-            for key in self.pairs:
+        for key in self.pairs:
+            if self.spec.two_param:
                 g, y = key
                 gp = self.policy[g]
                 state = self.two_param[key]
-                window = (gp.lb, gp.theta) if y == 0 else (gp.lb, gp.ub)
+                hi = gp.theta if y == 0 else gp.ub
                 try:
-                    state.sigma_hat = recover_sigma(
-                        state.variance, state.mean, window[0], window[1]
-                    )
+                    state.sigma_hat = recover_sigma(state.variance, state.mean, gp.lb, hi)
                 except (NoSolutionError, DomainError):
                     log.warning("sigma recovery failed for %s; keeping previous value", key)
                 self.estimates[key] = gaussian(state.mean, state.sigma_hat)
-        else:
-            for key in self.pairs:
+            else:
                 mode = self.update_mode if key[1] == 0 else UpdateMode.PORTION
                 new_ref = update_reference(self.buffers[key], self.estimates[key], mode)
                 self.estimates[key] = self.estimates[key].with_ref_value(new_ref)
 
         self.updates += 1
-        self.policy = _solve_policy(self.kind, self.estimates, self.fractions,
-                                    self.constraint, self.groups, self.eps)
+        self.policy = self._solve_policy({g: gp.eps for g, gp in self.policy.items()})
 
     def run(self, arrivals: Iterable[AgentRecord], horizon: int) -> RunTrace:
         """Consume up to ``horizon`` arrivals, updating whenever the gate closes."""
@@ -567,15 +551,15 @@ class Engine:
         return self.trace
 
     def _step_agent(self, agent: AgentRecord, round_counts) -> None:
-        g, y, x = agent.g, agent.y, agent.x
+        x, y, g = agent
         gp = self.policy[g]
         self.samples_seen += 1
         self.group_samples[g] += 1
         self._advance_eps(g)
 
-        decision = decide(self.kind, gp, x, self.rng)
+        accepted, retained = decide(self.spec, gp, x, self.rng)
 
-        if decision.accepted:
+        if accepted:
             if y == 0:
                 self.cum_fp += 1
         elif y == 1:
@@ -588,20 +572,18 @@ class Engine:
             else:
                 counts["n1"] += 1
 
-        if decision.accepted and x >= gp.theta and self.schedule.mode is ScheduleMode.ADAPTIVE:
+        if accepted and x >= gp.theta and self.schedule.mode is ScheduleMode.ADAPTIVE:
             mon = self._monitor[g]
             mon["obs"] += int(y == 0)
             mon["exp"] += self._expected_error_prob(g)
 
         if self.oracle is not None:
-            oracle_accept = self.oracle.accept(x, g)
-            loss_e = int(decision.accepted != (y == 1))
-            loss_o = int(oracle_accept != (y == 1))
-            if loss_e != loss_o:
-                diff = loss_e - loss_o
+            diff = regret_increment(accepted, self.oracle.accept(x, g), y)
+            if diff:
                 self.cum_regret += diff
                 if self._weighted_ok:
-                    w = error_weight(x, y, self.truth.dists[(g, 0)], self.truth.dists[(g, 1)])
-                    self.cum_weighted_regret += w * diff
+                    self.cum_weighted_regret += diff * error_weight(
+                        x, y, self.truth.dists[(g, 0)], self.truth.dists[(g, 1)])
 
-        self._retain_in_buffer((g, y), x, decision, gp)
+        if retained:
+            self._retain_in_buffer((g, y), x, gp)

@@ -39,7 +39,3 @@ class ConfigError(DebiasimError, ValueError):
 
 class MalformedRowError(DebiasimError, ValueError):
     """A CSV row could not be parsed. Message carries the row index."""
-
-
-class StreamExhausted(Exception):
-    """Signal: the arrival stream ended. Not an error; engines terminate cleanly."""

@@ -52,21 +52,6 @@ def error_weight(x: float, y: int, true0: ParametricEstimate, true1: ParametricE
     return math.exp(abs(x - ref))
 
 
-def weighted_regret_increment(
-    x: float,
-    y: int,
-    engine_accept: bool,
-    oracle_accept: bool,
-    true0: ParametricEstimate,
-    true1: ParametricEstimate,
-) -> float:
-    """Risk-weighted 0-1 loss difference; zero when the decisions agree."""
-    base = regret_increment(engine_accept, oracle_accept, y)
-    if base == 0:
-        return 0.0
-    return error_weight(x, y, true0, true1) * base
-
-
 def exploration_error(
     est0: ParametricEstimate,
     est1: ParametricEstimate,

@@ -83,7 +83,6 @@ def drift_oracle(
     est: ParametricEstimate,
     lb: float,
     theta: float,
-    eps: float,
     batch_size: int,
     replications: int,
     rng: np.random.Generator,
@@ -94,20 +93,19 @@ def drift_oracle(
     Each replication draws a batch from the true distribution truncated to
     the engine's collection range ([lb, inf) for the portion rule, [lb,
     theta) for the window-median rule) and applies the engine's own update.
-    eps thins arrival timing uniformly over the range, so it does not change
-    the batch's distribution; it is accepted for signature compatibility.
+    The exploration rate thins arrivals uniformly over that range, so it does
+    not change the batch's distribution and takes no part here.
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
-    del eps
     hi = theta if mode is UpdateMode.WINDOW_MEDIAN else math.inf
     window = TruncationWindow(lb, hi)
     old_ref = est.ref_value
     drifts = np.empty(replications)
     for i in range(replications):
         batch = true_dist.sample(window, rng, size=batch_size)
-        buffer = BatchBuffer(lb=lb, theta=theta, eps=1.0, size_gate=batch_size,
-                             update_lb=lb, samples=list(batch), new_count=batch_size)
+        buffer = BatchBuffer(size_gate=batch_size, update_lb=lb,
+                             samples=list(batch), new_count=batch_size)
         drifts[i] = update_reference(buffer, est, mode) - old_ref
     return float(drifts.mean()), float(drifts.std(ddof=1) / math.sqrt(replications))
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -73,20 +73,12 @@ class PopulationSpec:
 
 @dataclass
 class GroupPolicy:
-    """Decision state for one group: threshold, exploration bounds, frequency."""
+    """Admission state for one group: threshold, exploration bounds, frequency."""
 
     theta: float
     lb: float
     eps: float
     ub: Optional[float] = None
-
-
-@dataclass
-class PolicyState:
-    groups: Dict[GroupId, GroupPolicy] = field(default_factory=dict)
-
-    def __getitem__(self, g: GroupId) -> GroupPolicy:
-        return self.groups[g]
 
 
 def expected_loss(

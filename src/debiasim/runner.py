@@ -26,11 +26,18 @@ log = logging.getLogger(__name__)
 def _make_stream(config: RunConfig, stream_rng, shuffle_rng):
     if config.source.kind == "synthetic":
         return SyntheticStream(config.truth, stream_rng)
-    return CsvReplayStream(
+    stream = CsvReplayStream(
         config.source.path,
         columns=config.source.columns,
         shuffle_rng=shuffle_rng if config.source.shuffle else None,
     )
+    unknown = {r.g for r in stream.records} - {g for g, _ in config.pairs}
+    if unknown:
+        raise ConfigError(
+            f"source.path: {config.source.path} has groups {sorted(unknown)} "
+            f"that the config does not define"
+        )
+    return stream
 
 
 def run_single(config: RunConfig, seed: int) -> RunTrace:

@@ -19,27 +19,28 @@ import numpy as np
 
 from .dist import Family, ParametricEstimate, param_from_reference
 from .engines import AgentRecord
-from .errors import DomainError, InsufficientDataError, MalformedRowError
+from .errors import InsufficientDataError, MalformedRowError
 from .policy import PopulationSpec
+
+# Arrivals drawn per refill of a synthetic stream.
+_CHUNK = 8192
 
 
 class SyntheticStream:
     """Infinite seeded stream of agents from a true population spec."""
 
-    def __init__(self, population: PopulationSpec, rng: np.random.Generator,
-                 chunk: int = 8192):
+    def __init__(self, population: PopulationSpec, rng: np.random.Generator):
         self.population = population
         self.rng = rng
-        self.chunk = chunk
         self.pairs = sorted(k for k, f in population.fractions.items() if f > 0)
         probs = np.array([population.fractions[k] for k in self.pairs])
         self._cum = np.cumsum(probs / probs.sum())
         self._xs: np.ndarray = np.empty(0)
         self._idx: np.ndarray = np.empty(0, dtype=np.intp)
-        self._cursor = 0
+        self._pos = 0
 
     def _refill(self) -> None:
-        n = self.chunk
+        n = _CHUNK
         idx = np.searchsorted(self._cum, self.rng.random(n), side="right")
         idx = np.minimum(idx, len(self.pairs) - 1)
         xs = np.empty(n)
@@ -56,18 +57,18 @@ class SyntheticStream:
                 a, b = dist.params
                 lo, hi = dist.support
                 xs[mask] = lo + (hi - lo) * self.rng.beta(a, b, count)
-        self._xs, self._idx, self._cursor = xs, idx, 0
+        self._xs, self._idx, self._pos = xs, idx, 0
 
     def __iter__(self) -> Iterator[AgentRecord]:
         return self
 
     def __next__(self) -> AgentRecord:
-        if self._cursor >= len(self._xs):
+        if self._pos >= len(self._xs):
             self._refill()
-        i = self._cursor
-        self._cursor += 1
+        i = self._pos
+        self._pos += 1
         g, y = self.pairs[self._idx[i]]
-        return AgentRecord(x=float(self._xs[i]), y=y, g=g)
+        return AgentRecord(float(self._xs[i]), y, g)
 
 
 DEFAULT_COLUMNS = {"x": "x", "y": "y", "g": "g"}
@@ -90,9 +91,10 @@ def read_scored_csv(path, columns: Optional[Mapping[str, str]] = None) -> List[A
             try:
                 x = float(row[cols["x"]])
                 y = int(row[cols["y"]])
-                g = str(row[cols["g"]])
-                records.append(AgentRecord(x=x, y=y, g=g))
-            except (TypeError, ValueError, DomainError) as exc:
+                if y not in (0, 1):
+                    raise ValueError(f"label must be 0 or 1, got {y}")
+                records.append(AgentRecord(x, y, str(row[cols["g"]])))
+            except (TypeError, ValueError) as exc:
                 raise MalformedRowError(f"{path}: row {i + 1}: {exc}") from exc
     return records
 
@@ -106,10 +108,6 @@ class CsvReplayStream:
         if shuffle_rng is not None:
             order = shuffle_rng.permutation(len(self.records))
             self.records = [self.records[i] for i in order]
-        self._cursor = 0
-
-    def __len__(self) -> int:
-        return len(self.records)
 
     def __iter__(self) -> Iterator[AgentRecord]:
         return iter(self.records)

@@ -147,7 +147,7 @@ def test_criterion_4_drift_direction():
     ok = True
     for i, (name, truth, est, theta, sign) in enumerate(cases):
         lb = lower_bound(est, theta)
-        mean, se = drift_oracle(truth, est, lb=lb, theta=theta, eps=0.5,
+        mean, se = drift_oracle(truth, est, lb=lb, theta=theta,
                                 batch_size=50, replications=500,
                                 rng=np.random.default_rng(100 + i))
         ok = ok and sign * mean - 3 * se > 0

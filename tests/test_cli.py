@@ -62,6 +62,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="initial_estimates"):
             config_from_dict(d)
 
+    def test_zero_fraction_label_rejected(self):
+        # Accepted before: label 0 never arrives, so no round ever closes.
+        d = base_dict(fractions={"a": {"0": 1.0, "1": 0.0}})
+        with pytest.raises(ConfigError, match=r"fractions.*\('a', 1\)"):
+            config_from_dict(d)
+
+    def test_group_with_one_label_rejected(self):
+        # Crashed before with a bare KeyError(('b', 0)) when the engine was built.
+        d = base_dict(fractions={"a": {"0": 0.4, "1": 0.4}, "b": {"1": 0.2}})
+        d["initial_estimates"]["b"] = {"1": {"family": "gaussian", "params": [9, 1]}}
+        d["population"]["b"] = {"1": {"family": "gaussian", "params": [10, 1]}}
+        with pytest.raises(ConfigError, match=r"fractions.*\('b', 0\)"):
+            config_from_dict(d)
+
     def test_horizon_gate_coupling(self):
         with pytest.raises(ConfigError, match="horizon"):
             config_from_dict(base_dict(horizon=100))
@@ -149,6 +163,17 @@ class TestCli:
         code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
         assert code == 2
         assert "fractions" in capsys.readouterr().err
+
+    def test_replay_unknown_group_named(self, tmp_path, capsys):
+        data = tmp_path / "scored.csv"
+        data.write_text("x,y,g\n7.0,0,a\n10.0,1,zz\n9.5,1,a\n")
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_dict(
+            source={"kind": "csv_replay", "path": str(data)})))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "source.path" in err and "'zz'" in err
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -8,7 +8,7 @@ import pytest
 from debiasim.config import config_from_dict
 from debiasim.dist import TruncationWindow, gaussian
 from debiasim.engines import (
-    AgentRecord,
+    ENGINE_SPECS,
     BatchBuffer,
     Engine,
     EngineKind,
@@ -32,42 +32,47 @@ from debiasim.policy import FairnessConstraint, GroupPolicy
 from debiasim.runner import run_single
 
 
+ACTIVE = ENGINE_SPECS[EngineKind.ACTIVE_DEBIASING]
+EXPLORE = ENGINE_SPECS[EngineKind.PURE_EXPLORATION]
+EXPLOIT = ENGINE_SPECS[EngineKind.EXPLOITATION_ONLY]
+
+
 def _policy(theta=8.0, lb=6.0, eps=0.5, ub=None):
     return GroupPolicy(theta=theta, lb=lb, eps=eps, ub=ub)
 
 
 class TestDecide:
+    # Each baseline gets the policy its engine builds: LB = -inf for pure
+    # exploration, LB = theta for exploitation only.
+
     def test_below_lb_rejected(self):
-        d = decide(EngineKind.ACTIVE_DEBIASING, _policy(), 5.0, u_explore=0.0, u_retain=0.0)
-        assert not d.accepted and not d.retained
+        accepted, retained = decide(ACTIVE, _policy(), 5.0, u_explore=0.0, u_retain=0.0)
+        assert not accepted and not retained
 
     def test_zero_eps_window_always_rejects(self):
         gp = _policy(eps=0.0)
         rng = np.random.default_rng(0)
         for _ in range(200):
-            d = decide(EngineKind.ACTIVE_DEBIASING, gp, 7.0, rng)
-            assert not d.accepted
+            accepted, _ = decide(ACTIVE, gp, 7.0, rng)
+            assert not accepted
 
     def test_pure_exploration_eps_one(self):
-        gp = _policy(eps=1.0)
+        gp = _policy(lb=-math.inf, eps=1.0)
         rng = np.random.default_rng(0)
         for x in (-5.0, 2.0, 7.0, 9.0):
-            d = decide(EngineKind.PURE_EXPLORATION, gp, x, rng)
-            assert d.accepted and d.retained
+            assert decide(EXPLORE, gp, x, rng) == (True, True)
 
     def test_exploitation_only(self):
-        gp = _policy()
-        assert decide(EngineKind.EXPLOITATION_ONLY, gp, 8.0).accepted
-        assert decide(EngineKind.EXPLOITATION_ONLY, gp, 8.0).retained
-        assert not decide(EngineKind.EXPLOITATION_ONLY, gp, 7.999).accepted
+        gp = _policy(lb=8.0)
+        # No uniform is drawn: without an rng the call would fail if one were.
+        assert decide(EXPLOIT, gp, 8.0) == (True, True)
+        assert decide(EXPLOIT, gp, 7.999) == (False, False)
 
     def test_threshold_tie_accepts(self):
-        d = decide(EngineKind.ACTIVE_DEBIASING, _policy(), 8.0, u_retain=0.99)
-        assert d.accepted and not d.retained
+        assert decide(ACTIVE, _policy(), 8.0, u_retain=0.99) == (True, False)
 
     def test_lb_tie_in_window(self):
-        d = decide(EngineKind.ACTIVE_DEBIASING, _policy(eps=1.0), 6.0, u_explore=0.5)
-        assert d.accepted and d.retained
+        assert decide(ACTIVE, _policy(eps=1.0), 6.0, u_explore=0.5) == (True, True)
 
     def test_acceptance_monotonicity(self):
         gp = _policy()
@@ -76,16 +81,15 @@ class TestDecide:
             x1 = rng.uniform(8.0, 12.0)   # deterministically accepted
             x2 = x1 + rng.uniform(0, 3)
             u = rng.random()
-            d1 = decide(EngineKind.ACTIVE_DEBIASING, gp, x1, u_explore=u, u_retain=u)
-            d2 = decide(EngineKind.ACTIVE_DEBIASING, gp, x2, u_explore=u, u_retain=u)
-            assert d1.accepted and d2.accepted
+            accepted1, _ = decide(ACTIVE, gp, x1, u_explore=u, u_retain=u)
+            accepted2, _ = decide(ACTIVE, gp, x2, u_explore=u, u_retain=u)
+            assert accepted1 and accepted2
 
 
 class TestUpdateReference:
     def test_middle_order_statistic(self):
         est = gaussian(0, 1)  # median reference and lb=-inf give portion 0.5
-        buf = BatchBuffer(lb=-math.inf, theta=10.0, eps=1.0, size_gate=5,
-                          samples=[5.0, 6.0, 7.0, 8.0, 9.0], new_count=5)
+        buf = BatchBuffer(size_gate=5, samples=[5.0, 6.0, 7.0, 8.0, 9.0], new_count=5)
         assert update_reference(buf, est) == pytest.approx(7.0)
 
     def test_portion_left_naive_limit(self):
@@ -99,8 +103,7 @@ class TestUpdateReference:
         assert portion_left(est, lb) == pytest.approx(expected, abs=1e-12)
 
     def test_insufficient_batch(self):
-        buf = BatchBuffer(lb=0.0, theta=1.0, eps=1.0, size_gate=10,
-                          samples=[1.0], new_count=1)
+        buf = BatchBuffer(size_gate=10, samples=[1.0], new_count=1)
         with pytest.raises(InsufficientBatchError):
             update_reference(buf, gaussian(0, 1))
 
@@ -114,8 +117,7 @@ class TestUpdateReference:
         drifts = []
         for _ in range(300):
             xs = est.sample(window, rng, size=200)
-            buf = BatchBuffer(lb=lb, theta=theta, eps=1.0, size_gate=200,
-                              update_lb=lb, samples=list(xs), new_count=200)
+            buf = BatchBuffer(size_gate=200, update_lb=lb, samples=list(xs), new_count=200)
             drifts.append(update_reference(buf, est) - est.ref_value)
         drifts = np.asarray(drifts)
         stderr = drifts.std(ddof=1) / math.sqrt(len(drifts))
@@ -123,8 +125,7 @@ class TestUpdateReference:
 
     def test_window_median_mode(self):
         est = gaussian(0, 1, ref_level=60)
-        buf = BatchBuffer(lb=0.0, theta=10.0, eps=1.0, size_gate=3,
-                          samples=[1.0, 2.0, 8.0], new_count=3)
+        buf = BatchBuffer(size_gate=3, samples=[1.0, 2.0, 8.0], new_count=3)
         assert update_reference(buf, est, UpdateMode.WINDOW_MEDIAN) == pytest.approx(2.0)
 
 
@@ -133,17 +134,17 @@ class TestAdvanceEpsilon:
     ADAPT = ExplorationSchedule(ScheduleMode.ADAPTIVE, gain=1.0, window=3000, eps_min=0.05)
 
     def test_first_crossing(self):
-        assert advance_epsilon(self.FIXED, 1.0, 3000) == pytest.approx(0.9)
+        assert advance_epsilon(self.FIXED, 3000) == pytest.approx(0.9)
 
     def test_floor(self):
-        assert advance_epsilon(self.FIXED, 0.05, 10**6) == pytest.approx(0.05)
+        assert advance_epsilon(self.FIXED, 10**6) == pytest.approx(0.05)
 
     def test_zero_discrepancy(self):
-        assert advance_epsilon(self.ADAPT, 0.7, 3000, observed_err=40,
+        assert advance_epsilon(self.ADAPT, 3000, observed_err=40,
                                expected_err=40.0) == pytest.approx(0.05)
 
     def test_adaptive_clamped_to_one(self):
-        assert advance_epsilon(self.ADAPT, 0.1, 3000, observed_err=500,
+        assert advance_epsilon(self.ADAPT, 3000, observed_err=500,
                                expected_err=50.0) == 1.0
 
     def test_schedule_validation(self):
@@ -265,8 +266,12 @@ class TestEngineRuns:
         from debiasim.stream import SyntheticStream
         stream = SyntheticStream(cfg.truth, np.random.default_rng(1))
         engine.run(stream, 2000)
+        # A bounded engine's buffer holds one round's batch, and its
+        # update_lb is the LB that round collected under.
+        assert engine.spec.bounded
         for key, buf in engine.buffers.items():
-            assert all(x >= buf.lb for x in buf.samples)
+            assert buf.samples
+            assert all(x >= buf.update_lb for x in buf.samples)
 
     def test_stream_exhaustion_is_clean(self, tmp_path):
         # 60 rows cannot close a gate of 50 per pair; the run must end
@@ -385,9 +390,3 @@ class TestEngineRuns:
         )
         with pytest.raises(DomainError):
             engine.run(iter([]), horizon=100)
-
-
-class TestAgentRecord:
-    def test_label_validation(self):
-        with pytest.raises(DomainError):
-            AgentRecord(x=1.0, y=2, g="a")

@@ -14,7 +14,6 @@ from debiasim.metrics import (
     error_weight,
     exploration_error,
     regret_increment,
-    weighted_regret_increment,
 )
 
 
@@ -43,8 +42,13 @@ class TestRegretIncrement:
 
 
 class TestWeightedRegret:
+    # The engine weights each regret increment by error_weight.
     T0 = gaussian(7, 1)
     T1 = gaussian(10, 1)
+
+    def weighted(self, x, y, engine_accept, oracle_accept):
+        return error_weight(x, y, self.T0, self.T1) * regret_increment(
+            engine_accept, oracle_accept, y)
 
     def test_fp_at_reference(self):
         # reference for label-0 errors sits at mu0 + 4*sigma0 = 11
@@ -62,11 +66,11 @@ class TestWeightedRegret:
         assert error_weight(6.0, 1, self.T0, self.T1) == pytest.approx(1.0)
 
     def test_no_difference_is_zero(self):
-        assert weighted_regret_increment(9.0, 1, True, True, self.T0, self.T1) == 0.0
+        assert self.weighted(9.0, 1, True, True) == 0.0
 
     def test_signed(self):
-        up = weighted_regret_increment(8.0, 0, True, False, self.T0, self.T1)
-        down = weighted_regret_increment(8.0, 1, True, False, self.T0, self.T1)
+        up = self.weighted(8.0, 0, True, False)
+        down = self.weighted(8.0, 1, True, False)
         assert up > 0 > down
 
     def test_non_gaussian_truth(self):

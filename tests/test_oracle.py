@@ -74,7 +74,7 @@ class TestDriftOracle:
         # bias an order of magnitude below the Monte-Carlo stderr.
         est = gaussian(7, 1, ref_level=60)
         lb = lower_bound(est, 8.5)
-        mean, stderr = drift_oracle(est, est, lb=lb, theta=8.5, eps=0.5,
+        mean, stderr = drift_oracle(est, est, lb=lb, theta=8.5,
                                     batch_size=200, replications=400,
                                     rng=np.random.default_rng(0))
         assert abs(mean) <= 3 * stderr
@@ -83,7 +83,7 @@ class TestDriftOracle:
         est = gaussian(6, 1, ref_level=60)
         truth = gaussian(7, 1, ref_level=60)
         lb = lower_bound(est, 8.0)
-        mean, stderr = drift_oracle(truth, est, lb=lb, theta=8.0, eps=0.5,
+        mean, stderr = drift_oracle(truth, est, lb=lb, theta=8.0,
                                     batch_size=50, replications=500,
                                     rng=np.random.default_rng(1))
         assert mean - 3 * stderr > 0
@@ -92,7 +92,7 @@ class TestDriftOracle:
         est = gaussian(8, 1, ref_level=60)
         truth = gaussian(7, 1, ref_level=60)
         lb = lower_bound(est, 8.6)
-        mean, stderr = drift_oracle(truth, est, lb=lb, theta=8.6, eps=0.5,
+        mean, stderr = drift_oracle(truth, est, lb=lb, theta=8.6,
                                     batch_size=50, replications=500,
                                     rng=np.random.default_rng(2))
         assert mean + 3 * stderr < 0
@@ -100,7 +100,7 @@ class TestDriftOracle:
     def test_replication_guard(self):
         est = gaussian(7, 1)
         with pytest.raises(DomainError):
-            drift_oracle(est, est, lb=6.0, theta=8.0, eps=0.5, batch_size=10,
+            drift_oracle(est, est, lb=6.0, theta=8.0, batch_size=10,
                          replications=1, rng=np.random.default_rng(0))
 
 
