@@ -16,7 +16,6 @@ from .dist import (
     param_from_reference,
 )
 from .engines import (
-    AgentRecord,
     BatchBuffer,
     Engine,
     EngineKind,
@@ -25,8 +24,8 @@ from .engines import (
     ScheduleMode,
     TwoParamState,
     UpdateMode,
+    admission_masks,
     advance_epsilon,
-    decide,
     portion_left,
     recover_sigma,
     twoparam_update,
@@ -59,11 +58,14 @@ from .policy import (
 )
 from .runner import run_many, run_single
 from .stream import (
+    AgentRecord,
+    ArrivalBlock,
     CsvReplayStream,
     ScorerModel,
     SyntheticStream,
     fit_initial_estimate,
     fit_scorer,
+    load_replay,
 )
 
 __version__ = "0.1.0"

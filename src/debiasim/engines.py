@@ -1,7 +1,10 @@
 """Online estimation engines under censored feedback.
 
 Four engines share one admission/update loop and differ only in the three
-fields of their ``EngineSpec`` (see ``ENGINE_SPECS``):
+fields of their ``EngineSpec`` (see ``ENGINE_SPECS``). The loop works on
+blocks of arrivals: within a round every group's policy is fixed, so a
+window of arrivals is decided with array masks, and the round closes at the
+arrival that fills the last batch.
 
 * ``ACTIVE_DEBIASING`` admits everyone at or above the threshold and, with
   probability eps, agents inside the bounded exploration window [LB, theta).
@@ -30,11 +33,11 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 import numpy as np
+from scipy import special
 from scipy.optimize import brentq
-from scipy.stats import norm
 
 from .dist import Family, ParametricEstimate, gaussian
 from .errors import DomainError, InsufficientBatchError, NoSolutionError
@@ -56,10 +59,14 @@ from .policy import (
     solve_thresholds,
     upper_bound,
 )
+from .stream import ArrivalBlock
 
 log = logging.getLogger(__name__)
 
 _NEG_INF = float("-inf")
+# Admission uniforms drawn per refill of an engine's pool.
+_UNIFORM_BLOCK = 8192
+_SQRT_2PI = np.sqrt(2 * np.pi)
 
 
 class EngineKind(str, Enum):
@@ -111,12 +118,6 @@ class UpdateMode(str, Enum):
     WINDOW_MEDIAN = "window_median"
 
 
-class AgentRecord(NamedTuple):
-    x: float
-    y: int
-    g: GroupId
-
-
 class ScheduleMode(str, Enum):
     FIXED_STEP = "fixed_step"
     ADAPTIVE = "adaptive"
@@ -162,37 +163,36 @@ def advance_epsilon(
     return min(max(schedule.gain * discrepancy, schedule.eps_min), 1.0)
 
 
-def decide(
+def admission_masks(
     spec: EngineSpec,
-    policy: GroupPolicy,
-    x: float,
-    rng: Optional[np.random.Generator] = None,
-    u_explore: Optional[float] = None,
-    u_retain: Optional[float] = None,
-) -> Tuple[bool, bool]:
-    """(accepted, retained) for one arriving agent.
+    xs: np.ndarray,
+    theta,
+    lb,
+    eps,
+    uniforms: Optional[Callable[[int], np.ndarray]],
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(draws, accepted, retained) masks for a block of arrivals.
 
-    The exploration window is [policy.lb, theta): LB = -inf explores
-    everywhere below theta, LB = theta nowhere. One uniform draw per branch,
-    and none without ``spec.explore``: ``u_explore`` decides window
-    admission (and with it retention); ``u_retain`` independently
-    downsamples above-threshold admits. Ties are closed below: x == theta
-    admits, x == LB counts as inside the exploration window.
+    ``theta``, ``lb`` and ``eps`` give each arrival's group policy (arrays
+    or scalars). The exploration window is [lb, theta): LB = -inf explores
+    everywhere below theta, LB = theta nowhere. An arrival in the window
+    draws one uniform and is admitted, and retained, if it falls below eps.
+    With ``spec.explore`` an arrival at or above theta also draws one, which
+    eps-downsamples its retention; without it every admit is retained.
+    ``uniforms(k)`` returns the k uniforms of the drawing arrivals in
+    arrival order; it is not called when none draws. Ties are closed below:
+    x == theta admits, x == LB counts as inside the exploration window.
     """
-    if x >= policy.theta:
-        if not spec.explore:
-            return True, True
-        if u_retain is None:
-            u_retain = rng.random()
-        return True, u_retain < policy.eps
-
-    if x >= policy.lb:
-        if u_explore is None:
-            u_explore = rng.random()
-        accepted = u_explore < policy.eps
-        return accepted, accepted
-
-    return False, False
+    above = xs >= theta
+    inwin = ~above & (xs >= lb)
+    draws = above | inwin if spec.explore else inwin
+    hit = np.zeros(len(xs), dtype=bool)
+    k = int(np.count_nonzero(draws))
+    if k:
+        hit[draws] = uniforms(k) < np.broadcast_to(eps, xs.shape)[draws]
+    accepted = above | (inwin & hit)
+    retained = hit if spec.explore else above | hit
+    return draws, accepted, retained
 
 
 def portion_left(est: ParametricEstimate, lb: float) -> float:
@@ -219,9 +219,9 @@ class BatchBuffer:
     samples: List[float] = field(default_factory=list)
     new_count: int = 0
 
-    def add(self, x: float) -> None:
-        self.samples.append(x)
-        self.new_count += 1
+    def extend(self, xs: List[float]) -> None:
+        self.samples.extend(xs)
+        self.new_count += len(xs)
 
     def start_round(self, update_lb: float, keep_samples: bool) -> None:
         self.update_lb = update_lb
@@ -277,14 +277,20 @@ def twoparam_update(state: TwoParamState, x: float) -> TwoParamState:
     return state
 
 
+def _norm_pdf(z: float) -> float:
+    # scipy.stats.norm.pdf's expression, on an array as scipy evaluates it:
+    # numpy's scalar exp differs from its array exp in the last bit.
+    return float(np.exp(-np.array([z]) ** 2 / 2.0)[0] / _SQRT_2PI)
+
+
 def _truncated_variance_factor(mu: float, sigma: float, a: float, b: float) -> float:
     """Var(X | a <= X <= b) / sigma^2 for X ~ N(mu, sigma^2)."""
     alpha = (a - mu) / sigma if math.isfinite(a) else _NEG_INF
     beta = (b - mu) / sigma if math.isfinite(b) else math.inf
-    phi_a = float(norm.pdf(alpha)) if math.isfinite(alpha) else 0.0
-    phi_b = float(norm.pdf(beta)) if math.isfinite(beta) else 0.0
-    cdf_a = float(norm.cdf(alpha)) if math.isfinite(alpha) else 0.0
-    cdf_b = float(norm.cdf(beta)) if math.isfinite(beta) else 1.0
+    phi_a = _norm_pdf(alpha) if math.isfinite(alpha) else 0.0
+    phi_b = _norm_pdf(beta) if math.isfinite(beta) else 0.0
+    cdf_a = float(special.ndtr(alpha)) if math.isfinite(alpha) else 0.0
+    cdf_b = float(special.ndtr(beta)) if math.isfinite(beta) else 1.0
     mass = cdf_b - cdf_a
     if mass <= 0.0:
         raise DomainError("truncation window carries no mass")
@@ -333,6 +339,12 @@ class Engine:
     samples; the estimates, thresholds and exploration bounds are then
     re-solved and one trace row is emitted. Stream exhaustion before the
     gate closes terminates the run cleanly, discarding the partial batch.
+
+    Arrivals are decided in windows. A window never spans a change of a
+    group's eps, so each group's policy is one (theta, LB, eps) throughout.
+    Uniforms come from a pool drawn ahead in blocks: ``rng.random(k)`` gives
+    the same numbers as k single draws, and an arrival draws only when the
+    scalar rule would, so every trace matches one arrival at a time.
     """
 
     def __init__(
@@ -380,9 +392,16 @@ class Engine:
         self._weighted_ok = False
         if truth is not None:
             self.oracle = OracleBaseline.solve(truth, constraint)
+            missing = [g for g in self.groups if g not in self.oracle.thresholds]
+            if missing:
+                raise DomainError(f"the true population has no groups {missing}")
+            self._oracle_g = np.array([self.oracle.thresholds[g] for g in self.groups])
             self._weighted_ok = all(
                 d.family is Family.GAUSSIAN for d in truth.dists.values()
             )
+            if self._weighted_ok:
+                self._truth_pair = [(truth.dists[(g, 0)], truth.dists[(g, 1)])
+                                    for g in self.groups]
 
         self.two_param: Dict[PairKey, TwoParamState] = {}
         if spec.two_param:
@@ -404,6 +423,13 @@ class Engine:
         self.buffers: Dict[PairKey, BatchBuffer] = {
             key: BatchBuffer(size_gate=self.batch_gate) for key in self.pairs
         }
+        # Pair code 2 * group index + label -> index into self.pairs.
+        self._slot = np.full(2 * len(self.groups), -1, dtype=np.intp)
+        for slot, (g, y) in enumerate(self.pairs):
+            self._slot[2 * self.groups.index(g) + y] = slot
+        # Admission uniforms drawn ahead; the engine's rng feeds nothing else.
+        self._pool = np.empty(0)
+        self._upos = 0
 
         self.trace = RunTrace(self.groups, self.pairs, seed=seed, config_hash=config_hash,
                               two_param=spec.two_param)
@@ -452,33 +478,14 @@ class Engine:
         self.trace.append(row)
 
     def _expected_error_prob(self, g: GroupId) -> float:
-        theta = self.policy[g].theta
-        p0 = self.fractions.get((g, 0), 0.0) * (1.0 - float(self.estimates[(g, 0)].cdf(theta)))
-        p1 = self.fractions.get((g, 1), 0.0) * (1.0 - float(self.estimates[(g, 1)].cdf(theta)))
-        if p0 + p1 <= 0.0:
-            return 0.0
-        return p0 / (p0 + p1)
-
-    def _advance_eps(self, g: GroupId) -> None:
-        seen = self.group_samples[g]
-        if self.schedule.mode is ScheduleMode.FIXED_STEP:
-            self.policy[g].eps = advance_epsilon(self.schedule, seen)
-            return
-        mon = self._monitor[g]
-        if seen - mon["start"] >= self.schedule.window:
-            self.policy[g].eps = advance_epsilon(self.schedule, seen, observed_err=mon["obs"],
-                                                 expected_err=mon["exp"])
-            mon["start"], mon["obs"], mon["exp"] = seen, 0, 0.0
-
-    def _retain_in_buffer(self, key: PairKey, x: float, gp: GroupPolicy) -> None:
-        if key[1] == 0:
-            if x >= gp.theta and self._drop_label0_above:
-                return
-        elif gp.ub is not None and x > gp.ub:
-            return
-        if self.spec.two_param:
-            twoparam_update(self.two_param[key], x)
-        self.buffers[key].add(x)
+        # Constant within a round: theta and the estimates change only at its
+        # end, when _start_round clears the cache.
+        if g not in self._error_prob:
+            theta = self.policy[g].theta
+            p0 = self.fractions.get((g, 0), 0.0) * (1.0 - float(self.estimates[(g, 0)].cdf(theta)))
+            p1 = self.fractions.get((g, 1), 0.0) * (1.0 - float(self.estimates[(g, 1)].cdf(theta)))
+            self._error_prob[g] = 0.0 if p0 + p1 <= 0.0 else p0 / (p0 + p1)
+        return self._error_prob[g]
 
     # -- round machinery ---------------------------------------------------
 
@@ -487,10 +494,13 @@ class Engine:
         for key in self.pairs:
             update_lb = self.policy[key[0]].lb if bounded else _NEG_INF
             self.buffers[key].start_round(update_lb, keep_samples=not bounded)
+        policy = [self.policy[g] for g in self.groups]
+        self._theta_g = np.array([gp.theta for gp in policy])
+        self._lb_g = np.array([gp.lb for gp in policy])
+        if self.spec.two_param:
+            self._ub_g = np.array([gp.ub for gp in policy])
+        self._error_prob: Dict[GroupId, float] = {}
         return {g: {"n0": 0, "n1": 0, "eps": self.policy[g].eps} for g in self.groups}
-
-    def _gate_met(self) -> bool:
-        return all(self.buffers[key].new_count >= self.batch_gate for key in self.pairs)
 
     def _apply_updates(self, round_counts: Dict[GroupId, Dict[str, int]]) -> None:
         # Exploration-error term uses the round's estimates/policy, pre-update.
@@ -521,27 +531,27 @@ class Engine:
         self.updates += 1
         self.policy = self._solve_policy({g: gp.eps for g, gp in self.policy.items()})
 
-    def run(self, arrivals: Iterable[AgentRecord], horizon: int) -> RunTrace:
-        """Consume up to ``horizon`` arrivals, updating whenever the gate closes."""
+    def run(self, arrivals: Iterable[ArrivalBlock], horizon: int) -> RunTrace:
+        """Consume up to ``horizon`` arrivals, updating whenever the gate closes.
+
+        ``arrivals`` yields blocks of arrivals. A round reads windows of the
+        arrivals not yet committed: the first about twice as long as the
+        previous round, each next one twice as long while the gate stays
+        open. The arrivals after the one that closes the gate carry over to
+        the next round.
+        """
         if horizon < 4 * self.batch_gate:
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
-        it = iter(arrivals)
+        pending = _Pending(arrivals, self.groups)
         self._emit_row()
-        exhausted = False
-        while self.samples_seen < horizon and not exhausted:
+        size = 2 * len(self.pairs) * self.batch_gate
+        while self.samples_seen < horizon:
+            start = self.samples_seen
             round_counts = self._start_round()
-            while self.samples_seen < horizon:
-                try:
-                    agent = next(it)
-                except StopIteration:
-                    exhausted = True
-                    break
-                self._step_agent(agent, round_counts)
-                if self._gate_met():
-                    break
-            if self._gate_met():
+            if self._collect_round(pending, horizon, size, round_counts):
                 self._apply_updates(round_counts)
                 self._emit_row()
+                size = 2 * (self.samples_seen - start)
             else:
                 # Partial batch at horizon or stream end: metrics counted,
                 # estimates untouched.
@@ -550,40 +560,201 @@ class Engine:
                 break
         return self.trace
 
-    def _step_agent(self, agent: AgentRecord, round_counts) -> None:
-        x, y, g = agent
-        gp = self.policy[g]
-        self.samples_seen += 1
-        self.group_samples[g] += 1
-        self._advance_eps(g)
+    def _collect_round(self, pending: "_Pending", horizon: int, size: int,
+                       round_counts: Dict[GroupId, Dict[str, int]]) -> bool:
+        """Commit windows of arrivals until the gate closes (True), or until
+        the horizon or the stream ends first (False)."""
+        while self.samples_seen < horizon:
+            xs, ys, gi = pending.peek(min(size, horizon - self.samples_seen))
+            if not len(xs):
+                return False
+            used, closed = self._window(xs, ys, gi, round_counts)
+            pending.advance(used)
+            if closed:
+                return True
+            if used == len(xs):
+                size *= 2
+        return False
 
-        accepted, retained = decide(self.spec, gp, x, self.rng)
-
-        if accepted:
-            if y == 0:
-                self.cum_fp += 1
-        elif y == 1:
-            self.cum_fn += 1
-
-        if x < gp.theta:
-            counts = round_counts[g]
-            if y == 0:
-                counts["n0"] += 1
+    def _eps_plan(self) -> Tuple[List[float], List[Tuple[int, int]], List[bool]]:
+        """Each group's eps for the next window; for the groups whose eps can
+        change, (group index, arrivals of the group before the change); and
+        whether each group's next arrival ends an adaptive monitor window,
+        which sets its eps for the window."""
+        sched = self.schedule
+        width = sched.window
+        eps: List[float] = []
+        limits: List[Tuple[int, int]] = []
+        triggers: List[bool] = []
+        for gi, g in enumerate(self.groups):
+            nxt = self.group_samples[g] + 1  # the group's count at its next arrival
+            trigger = False
+            if sched.mode is ScheduleMode.FIXED_STEP:
+                eps.append(advance_epsilon(sched, nxt))
+                # Once floored, eps never changes again.
+                if sched.eps0 - sched.step * (nxt // width) > sched.eps_min:
+                    limits.append((gi, (nxt // width + 1) * width - nxt))
             else:
-                counts["n1"] += 1
+                mon = self._monitor[g]
+                trigger = nxt - mon["start"] >= width
+                if trigger:
+                    eps.append(advance_epsilon(sched, nxt, observed_err=mon["obs"],
+                                               expected_err=mon["exp"]))
+                    limits.append((gi, width))
+                else:
+                    eps.append(self.policy[g].eps)
+                    limits.append((gi, mon["start"] + width - nxt))
+            triggers.append(trigger)
+        return eps, limits, triggers
 
-        if accepted and x >= gp.theta and self.schedule.mode is ScheduleMode.ADAPTIVE:
-            mon = self._monitor[g]
-            mon["obs"] += int(y == 0)
-            mon["exp"] += self._expected_error_prob(g)
+    def _peek_uniforms(self, k: int) -> np.ndarray:
+        """The next k admission uniforms, left in the pool until committed."""
+        if len(self._pool) - self._upos < k:
+            fresh = self.rng.random(max(_UNIFORM_BLOCK, k))
+            self._pool = np.concatenate((self._pool[self._upos:], fresh))
+            self._upos = 0
+        return self._pool[self._upos:self._upos + k]
+
+    def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray,
+                round_counts: Dict[GroupId, Dict[str, int]]) -> Tuple[int, bool]:
+        """Decide a window of arrivals and commit it up to the arrival that
+        closes the gate, or whole. The window is first cut before the first
+        arrival at which a group's eps can change. Returns (arrivals
+        committed, gate closed)."""
+        eps, limits, triggers = self._eps_plan()
+        n = len(xs)
+        for g, limit in limits:
+            if limit < n:
+                pos = np.flatnonzero(gi[:n] == g)
+                if len(pos) > limit:
+                    n = int(pos[limit])
+        xs, ys, gi = xs[:n], ys[:n], gi[:n]
+
+        theta = self._theta_g[gi]
+        draws, accepted, retained = admission_masks(
+            self.spec, xs, theta, self._lb_g[gi], np.array(eps)[gi], self._peek_uniforms)
+        above = xs >= theta
+        kept = retained
+        if self._drop_label0_above:
+            kept = kept & ~(above & (ys == 0))
+        if self.spec.two_param:
+            kept = kept & ~((ys == 1) & (xs > self._ub_g[gi]))
+        kpos = np.flatnonzero(kept)
+        kslot = self._slot[2 * gi[kpos] + ys[kpos]]
+
+        close = self._gate_close(kpos, kslot)
+        m = n if close is None else close
+        if m < n:
+            xs, ys, gi, theta, draws, accepted, above = (
+                a[:m] for a in (xs, ys, gi, theta, draws, accepted, above))
+            cut = int(np.searchsorted(kpos, m))
+            kpos, kslot = kpos[:cut], kslot[:cut]
+        self._upos += int(np.count_nonzero(draws))
+        self._commit(xs, ys, gi, theta, accepted, above, kpos, kslot,
+                     eps, triggers, round_counts)
+        return m, close is not None
+
+    def _gate_close(self, kpos: np.ndarray, kslot: np.ndarray) -> Optional[int]:
+        """How many arrivals of the window close the gate: up to the one that
+        fills the last pair's batch. None if a batch stays short."""
+        close = 0
+        for slot, key in enumerate(self.pairs):
+            need = self.batch_gate - self.buffers[key].new_count
+            if need > 0:
+                hits = kpos[kslot == slot]
+                if len(hits) < need:
+                    return None
+                close = max(close, int(hits[need - 1]) + 1)
+        return close
+
+    def _commit(self, xs, ys, gi, theta, accepted, above, kpos, kslot,
+                eps, triggers, round_counts) -> None:
+        """Book the decided arrivals: counts, eps state, regret and batches.
+
+        Every float that is not integer-valued is summed in arrival order."""
+        n_groups = len(self.groups)
+        self.samples_seen += len(xs)
+        arrived = np.bincount(gi, minlength=n_groups).tolist()
+        for i, g in enumerate(self.groups):
+            if arrived[i]:
+                if triggers[i]:
+                    self._monitor[g] = {"start": self.group_samples[g] + 1, "obs": 0, "exp": 0.0}
+                self.group_samples[g] += arrived[i]
+                self.policy[g].eps = eps[i]
+
+        label0, label1 = ys == 0, ys == 1
+        self.cum_fp += int(np.count_nonzero(accepted & label0))
+        self.cum_fn += int(np.count_nonzero(~accepted & label1))
+        pair = 2 * gi + ys
+        below = np.bincount(pair[xs < theta], minlength=2 * n_groups).tolist()
+        for i, g in enumerate(self.groups):
+            round_counts[g]["n0"] += below[2 * i]
+            round_counts[g]["n1"] += below[2 * i + 1]
+
+        if self.schedule.mode is ScheduleMode.ADAPTIVE:
+            # Every arrival at or above theta is admitted and counted.
+            admits = np.bincount(pair[above], minlength=2 * n_groups).tolist()
+            for i, g in enumerate(self.groups):
+                count = admits[2 * i] + admits[2 * i + 1]
+                if count:
+                    mon = self._monitor[g]
+                    mon["obs"] += admits[2 * i]
+                    terms = np.full(count + 1, self._expected_error_prob(g))
+                    terms[0] = mon["exp"]
+                    mon["exp"] = float(np.cumsum(terms)[-1])
 
         if self.oracle is not None:
-            diff = regret_increment(accepted, self.oracle.accept(x, g), y)
-            if diff:
-                self.cum_regret += diff
+            diff = (accepted != label1).astype(np.int8) - ((xs >= self._oracle_g[gi]) != label1)
+            nz = np.flatnonzero(diff)
+            if len(nz):
+                steps = diff[nz]
+                self.cum_regret += int(steps.sum())
                 if self._weighted_ok:
-                    self.cum_weighted_regret += diff * error_weight(
-                        x, y, self.truth.dists[(g, 0)], self.truth.dists[(g, 1)])
+                    total = self.cum_weighted_regret
+                    for d, x, y, g in zip(steps.tolist(), xs[nz].tolist(), ys[nz].tolist(),
+                                          gi[nz].tolist()):
+                        total += d * error_weight(x, y, *self._truth_pair[g])
+                    self.cum_weighted_regret = total
 
-        if retained:
-            self._retain_in_buffer((g, y), x, gp)
+        for slot, key in enumerate(self.pairs):
+            batch = xs[kpos[kslot == slot]].tolist()
+            if batch:
+                self.buffers[key].extend(batch)
+                if self.spec.two_param:
+                    state = self.two_param[key]
+                    for x in batch:
+                        twoparam_update(state, x)
+
+
+class _Pending:
+    """Arrivals read from a block stream and not yet committed, with each
+    block's group codes mapped to the engine's group indices."""
+
+    def __init__(self, blocks: Iterable[ArrivalBlock], groups: Tuple[GroupId, ...]):
+        self._blocks: Iterator[ArrivalBlock] = iter(blocks)
+        self._index = {g: i for i, g in enumerate(groups)}
+        self.xs = np.empty(0)
+        self.ys = np.empty(0, dtype=np.intp)
+        self.gi = np.empty(0, dtype=np.intp)
+        self.pos = 0
+
+    def peek(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next n arrivals, fewer only when the stream runs out."""
+        while len(self.xs) - self.pos < n:
+            block = next(self._blocks, None)
+            if block is None:
+                break
+            unknown = [g for g in block.groups if g not in self._index]
+            if unknown:
+                raise DomainError(f"stream groups {unknown} are not among the engine's groups")
+            remap = np.array([self._index[g] for g in block.groups], dtype=np.intp)
+            rest = slice(self.pos, None)
+            self.xs = np.concatenate((self.xs[rest], block.xs))
+            self.ys = np.concatenate((self.ys[rest], block.ys))
+            self.gi = np.concatenate((self.gi[rest], remap[block.gcodes]))
+            self.pos = 0
+        end = self.pos + n
+        return self.xs[self.pos:end], self.ys[self.pos:end], self.gi[self.pos:end]
+
+    def advance(self, m: int) -> None:
+        self.pos += m

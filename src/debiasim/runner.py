@@ -18,30 +18,38 @@ from .config import RunConfig
 from .engines import Engine
 from .errors import ConfigError
 from .metrics import RunTrace, write_summary
-from .stream import CsvReplayStream, SyntheticStream
+from .stream import ArrivalBlock, CsvReplayStream, SyntheticStream, load_replay
 
 log = logging.getLogger(__name__)
 
 
-def _make_stream(config: RunConfig, stream_rng, shuffle_rng):
-    if config.source.kind == "synthetic":
-        return SyntheticStream(config.truth, stream_rng)
-    stream = CsvReplayStream(
-        config.source.path,
-        columns=config.source.columns,
-        shuffle_rng=shuffle_rng if config.source.shuffle else None,
-    )
-    unknown = {r.g for r in stream.records} - {g for g, _ in config.pairs}
+def _replay_data(config: RunConfig) -> ArrivalBlock:
+    data = load_replay(config.source.path, columns=config.source.columns)
+    unknown = set(data.groups) - {g for g, _ in config.pairs}
     if unknown:
         raise ConfigError(
             f"source.path: {config.source.path} has groups {sorted(unknown)} "
             f"that the config does not define"
         )
-    return stream
+    return data
 
 
-def run_single(config: RunConfig, seed: int) -> RunTrace:
-    """Execute one seeded run to the horizon and return its trace."""
+def _make_stream(config: RunConfig, stream_rng, shuffle_rng,
+                 replay: Optional[ArrivalBlock] = None):
+    if config.source.kind == "synthetic":
+        return SyntheticStream(config.truth, stream_rng)
+    if replay is None:
+        replay = _replay_data(config)
+    return CsvReplayStream(replay, shuffle_rng=shuffle_rng if config.source.shuffle else None)
+
+
+def run_single(config: RunConfig, seed: int,
+               replay: Optional[ArrivalBlock] = None) -> RunTrace:
+    """Execute one seeded run to the horizon and return its trace.
+
+    ``replay`` is the replay source already parsed (and its groups checked);
+    without it a replay config reads its CSV here.
+    """
     ss = np.random.SeedSequence(seed)
     engine_seq, stream_seq, shuffle_seq = ss.spawn(3)
     engine = Engine(
@@ -58,7 +66,7 @@ def run_single(config: RunConfig, seed: int) -> RunTrace:
         seed=seed,
     )
     stream = _make_stream(config, np.random.default_rng(stream_seq),
-                          np.random.default_rng(shuffle_seq))
+                          np.random.default_rng(shuffle_seq), replay)
     return engine.run(stream, config.horizon)
 
 
@@ -67,7 +75,10 @@ def run_many(
     out_dir: Optional[str] = None,
     seeds: Optional[Sequence[int]] = None,
 ) -> List[RunTrace]:
-    """Run every seed, write trace_<seed>.csv files plus summary.json."""
+    """Run every seed, write trace_<seed>.csv files plus summary.json.
+
+    A replay CSV is parsed once; each seed shuffles its rows on its own.
+    """
     seeds = list(seeds) if seeds is not None else list(config.seeds)
     target = out_dir or config.out_dir
     if target is None:
@@ -75,9 +86,10 @@ def run_many(
     out = Path(target)
     out.mkdir(parents=True, exist_ok=True)
 
+    replay = _replay_data(config) if config.source.kind != "synthetic" else None
     traces: List[RunTrace] = []
     for seed in seeds:
-        trace = run_single(config, seed)
+        trace = run_single(config, seed, replay)
         trace.to_csv(out / f"trace_{seed}.csv")
         traces.append(trace)
         log.info("seed %d: %d updates over %d arrivals", seed,

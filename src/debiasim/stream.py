@@ -1,10 +1,11 @@
 """Arrival streams and score construction.
 
+Streams hand the engine arrivals in blocks of columns (``ArrivalBlock``).
 Synthetic streams draw (group, label) from the population's mass fractions
 and the feature from that pair's true distribution. Replay streams walk a
-scored CSV (columns x, y, g). For raw multi-feature data, a from-scratch
-logistic regression collapses records to a probability score in (0, 1),
-which doubles as a Beta-support feature.
+scored CSV (columns x, y, g), parsed once into columns. For raw
+multi-feature data, a from-scratch logistic regression collapses records to
+a probability score in (0, 1), which doubles as a Beta-support feature.
 """
 
 from __future__ import annotations
@@ -13,21 +14,52 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist import Family, ParametricEstimate, param_from_reference
-from .engines import AgentRecord
 from .errors import InsufficientDataError, MalformedRowError
-from .policy import PopulationSpec
+from .policy import GroupId, PopulationSpec
 
-# Arrivals drawn per refill of a synthetic stream.
+# Arrivals drawn per block of a synthetic stream.
 _CHUNK = 8192
 
 
+class AgentRecord(NamedTuple):
+    x: float
+    y: int
+    g: GroupId
+
+
+class ArrivalBlock(NamedTuple):
+    """Consecutive arrivals as columns.
+
+    ``xs`` holds the features, ``ys`` the labels (0 or 1) and ``gcodes``
+    each arrival's index into ``groups``, the names of the block's groups.
+    """
+
+    xs: np.ndarray
+    ys: np.ndarray
+    gcodes: np.ndarray
+    groups: Tuple[GroupId, ...]
+
+    @classmethod
+    def from_records(cls, records: Sequence[AgentRecord]) -> "ArrivalBlock":
+        groups = tuple(sorted({r.g for r in records}))
+        code = {g: i for i, g in enumerate(groups)}
+        return cls(np.array([r.x for r in records], dtype=float),
+                   np.array([r.y for r in records], dtype=np.intp),
+                   np.array([code[r.g] for r in records], dtype=np.intp),
+                   groups)
+
+
 class SyntheticStream:
-    """Infinite seeded stream of agents from a true population spec."""
+    """Infinite seeded stream of agents from a true population spec.
+
+    Iterating yields blocks of ``_CHUNK`` arrivals; each block draws its
+    pairs first, then every pair's features in one call.
+    """
 
     def __init__(self, population: PopulationSpec, rng: np.random.Generator):
         self.population = population
@@ -35,11 +67,12 @@ class SyntheticStream:
         self.pairs = sorted(k for k, f in population.fractions.items() if f > 0)
         probs = np.array([population.fractions[k] for k in self.pairs])
         self._cum = np.cumsum(probs / probs.sum())
-        self._xs: np.ndarray = np.empty(0)
-        self._idx: np.ndarray = np.empty(0, dtype=np.intp)
-        self._pos = 0
+        self.groups = tuple(sorted({g for g, _ in self.pairs}))
+        code = {g: i for i, g in enumerate(self.groups)}
+        self._pair_y = np.array([y for _, y in self.pairs], dtype=np.intp)
+        self._pair_g = np.array([code[g] for g, _ in self.pairs], dtype=np.intp)
 
-    def _refill(self) -> None:
+    def _draw(self) -> ArrivalBlock:
         n = _CHUNK
         idx = np.searchsorted(self._cum, self.rng.random(n), side="right")
         idx = np.minimum(idx, len(self.pairs) - 1)
@@ -57,60 +90,77 @@ class SyntheticStream:
                 a, b = dist.params
                 lo, hi = dist.support
                 xs[mask] = lo + (hi - lo) * self.rng.beta(a, b, count)
-        self._xs, self._idx, self._pos = xs, idx, 0
+        return ArrivalBlock(xs, self._pair_y[idx], self._pair_g[idx], self.groups)
 
-    def __iter__(self) -> Iterator[AgentRecord]:
-        return self
-
-    def __next__(self) -> AgentRecord:
-        if self._pos >= len(self._xs):
-            self._refill()
-        i = self._pos
-        self._pos += 1
-        g, y = self.pairs[self._idx[i]]
-        return AgentRecord(float(self._xs[i]), y, g)
+    def __iter__(self) -> Iterator[ArrivalBlock]:
+        while True:
+            yield self._draw()
 
 
 DEFAULT_COLUMNS = {"x": "x", "y": "y", "g": "g"}
 
 
 def read_scored_csv(path, columns: Optional[Mapping[str, str]] = None) -> List[AgentRecord]:
-    """Load a scored CSV into agent records; malformed rows name their index."""
+    """Load a scored CSV into agent records; malformed rows name their index.
+
+    Blank lines are skipped and not counted. A column named twice in the
+    header reads its last occurrence.
+    """
     cols = dict(DEFAULT_COLUMNS)
     if columns:
         cols.update(columns)
     records: List[AgentRecord] = []
+    append = records.append
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or any(c not in reader.fieldnames for c in cols.values()):
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None or any(c not in header for c in cols.values()):
             raise MalformedRowError(
                 f"{path}: header must contain columns {sorted(cols.values())}, "
-                f"got {reader.fieldnames}"
+                f"got {header}"
             )
-        for i, row in enumerate(reader):
+        last = {name: i for i, name in enumerate(header)}
+        ix, iy, ig = last[cols["x"]], last[cols["y"]], last[cols["g"]]
+        i = 0
+        for row in reader:
+            if not row:
+                continue
+            i += 1
             try:
-                x = float(row[cols["x"]])
-                y = int(row[cols["y"]])
+                x = float(row[ix])
+                y = int(row[iy])
                 if y not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {y}")
-                records.append(AgentRecord(x, y, str(row[cols["g"]])))
-            except (TypeError, ValueError) as exc:
-                raise MalformedRowError(f"{path}: row {i + 1}: {exc}") from exc
+                append(AgentRecord(x, y, row[ig]))
+            except ValueError as exc:
+                raise MalformedRowError(f"{path}: row {i}: {exc}") from exc
+            except IndexError as exc:
+                raise MalformedRowError(
+                    f"{path}: row {i}: {len(row)} fields, header has {len(header)}"
+                ) from exc
     return records
 
 
+def load_replay(path, columns: Optional[Mapping[str, str]] = None) -> ArrivalBlock:
+    """A scored CSV parsed into one block of columns."""
+    return ArrivalBlock.from_records(read_scored_csv(path, columns))
+
+
 class CsvReplayStream:
-    """Finite stream replaying scored rows, optionally shuffled."""
+    """Finite stream replaying parsed scored rows, optionally shuffled.
 
-    def __init__(self, path, columns: Optional[Mapping[str, str]] = None,
-                 shuffle_rng: Optional[np.random.Generator] = None):
-        self.records = read_scored_csv(path, columns)
+    The shuffle permutes row indices once, when the stream is built; the
+    stream then yields the rows as one block.
+    """
+
+    def __init__(self, data: ArrivalBlock, shuffle_rng: Optional[np.random.Generator] = None):
         if shuffle_rng is not None:
-            order = shuffle_rng.permutation(len(self.records))
-            self.records = [self.records[i] for i in order]
+            order = shuffle_rng.permutation(len(data.xs))
+            data = ArrivalBlock(data.xs[order], data.ys[order], data.gcodes[order], data.groups)
+        self.data = data
 
-    def __iter__(self) -> Iterator[AgentRecord]:
-        return iter(self.records)
+    def __iter__(self) -> Iterator[ArrivalBlock]:
+        return iter((self.data,))
 
 
 @dataclass(frozen=True)

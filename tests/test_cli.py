@@ -148,6 +148,35 @@ class TestRunner:
         header = (tmp_path / "trace_0.csv").read_text().splitlines()[1]
         assert "ub_a" in header and "sigma_hat_a0" in header
 
+    def test_replay_parsed_once_per_run_many(self, tmp_path, monkeypatch):
+        import debiasim.stream as stream_mod
+        rng = np.random.default_rng(0)
+        rows = ["x,y,g"]
+        for _ in range(3000):
+            y = int(rng.random() < 0.5)
+            rows.append(f"{(10.0 if y else 7.0) + rng.standard_normal()!r},{y},a")
+        data = tmp_path / "scored.csv"
+        data.write_text("\n".join(rows) + "\n")
+        cfg = config_from_dict(base_dict(
+            source={"kind": "csv_replay", "path": str(data), "shuffle": True}))
+        for seed in (0, 1, 2):
+            run_many(cfg, out_dir=str(tmp_path / f"single{seed}"), seeds=[seed])
+
+        calls = []
+        original = stream_mod.read_scored_csv
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(stream_mod, "read_scored_csv", counting)
+        run_many(cfg, out_dir=str(tmp_path / "many"), seeds=[0, 1, 2])
+        assert len(calls) == 1
+        for seed in (0, 1, 2):
+            name = f"trace_{seed}.csv"
+            assert (tmp_path / "many" / name).read_bytes() == \
+                (tmp_path / f"single{seed}" / name).read_bytes()
+
 
 class TestCli:
     def test_run_command(self, tmp_path, capsys):

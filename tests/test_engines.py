@@ -1,6 +1,7 @@
 """Engine mechanics: decisions, batch updates, schedules, two-parameter mode."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,8 @@ from debiasim.engines import (
     ScheduleMode,
     TwoParamState,
     UpdateMode,
+    admission_masks,
     advance_epsilon,
-    decide,
     portion_left,
     recover_sigma,
     twoparam_update,
@@ -41,49 +42,97 @@ def _policy(theta=8.0, lb=6.0, eps=0.5, ub=None):
     return GroupPolicy(theta=theta, lb=lb, eps=eps, ub=ub)
 
 
+def _masks(spec, gp, xs, uniforms):
+    """(draws, accepted, retained) for arrivals xs under one group policy."""
+    xs = np.asarray(xs, dtype=float)
+    return admission_masks(spec, xs, gp.theta, gp.lb, gp.eps, uniforms)
+
+
+def _given(*values):
+    """A uniforms source that hands out exactly ``values``, in order."""
+    def uniforms(k):
+        assert k == len(values)
+        return np.array(values)
+    return uniforms
+
+
 class TestDecide:
     # Each baseline gets the policy its engine builds: LB = -inf for pure
     # exploration, LB = theta for exploitation only.
 
     def test_below_lb_rejected(self):
-        accepted, retained = decide(ACTIVE, _policy(), 5.0, u_explore=0.0, u_retain=0.0)
-        assert not accepted and not retained
+        draws, accepted, retained = _masks(ACTIVE, _policy(), [5.0], _given())
+        assert not draws[0] and not accepted[0] and not retained[0]
 
     def test_zero_eps_window_always_rejects(self):
-        gp = _policy(eps=0.0)
         rng = np.random.default_rng(0)
-        for _ in range(200):
-            accepted, _ = decide(ACTIVE, gp, 7.0, rng)
-            assert not accepted
+        _, accepted, _ = _masks(ACTIVE, _policy(eps=0.0), np.full(200, 7.0), rng.random)
+        assert not accepted.any()
 
     def test_pure_exploration_eps_one(self):
         gp = _policy(lb=-math.inf, eps=1.0)
         rng = np.random.default_rng(0)
-        for x in (-5.0, 2.0, 7.0, 9.0):
-            assert decide(EXPLORE, gp, x, rng) == (True, True)
+        _, accepted, retained = _masks(EXPLORE, gp, [-5.0, 2.0, 7.0, 9.0], rng.random)
+        assert accepted.all() and retained.all()
 
     def test_exploitation_only(self):
         gp = _policy(lb=8.0)
-        # No uniform is drawn: without an rng the call would fail if one were.
-        assert decide(EXPLOIT, gp, 8.0) == (True, True)
-        assert decide(EXPLOIT, gp, 7.999) == (False, False)
+        # No uniform is drawn: without a source the call would fail if one were.
+        draws, accepted, retained = _masks(EXPLOIT, gp, [8.0, 7.999], None)
+        assert not draws.any()
+        assert accepted.tolist() == [True, False]
+        assert retained.tolist() == [True, False]
 
     def test_threshold_tie_accepts(self):
-        assert decide(ACTIVE, _policy(), 8.0, u_retain=0.99) == (True, False)
+        _, accepted, retained = _masks(ACTIVE, _policy(), [8.0], _given(0.99))
+        assert accepted[0] and not retained[0]
 
     def test_lb_tie_in_window(self):
-        assert decide(ACTIVE, _policy(eps=1.0), 6.0, u_explore=0.5) == (True, True)
+        _, accepted, retained = _masks(ACTIVE, _policy(eps=1.0), [6.0], _given(0.5))
+        assert accepted[0] and retained[0]
 
     def test_acceptance_monotonicity(self):
         gp = _policy()
         rng = np.random.default_rng(4)
-        for _ in range(500):
-            x1 = rng.uniform(8.0, 12.0)   # deterministically accepted
-            x2 = x1 + rng.uniform(0, 3)
-            u = rng.random()
-            accepted1, _ = decide(ACTIVE, gp, x1, u_explore=u, u_retain=u)
-            accepted2, _ = decide(ACTIVE, gp, x2, u_explore=u, u_retain=u)
-            assert accepted1 and accepted2
+        x1 = rng.uniform(8.0, 12.0, size=500)   # deterministically accepted
+        x2 = x1 + rng.uniform(0, 3, size=500)
+        _, accepted1, _ = _masks(ACTIVE, gp, x1, rng.random)
+        _, accepted2, _ = _masks(ACTIVE, gp, x2, rng.random)
+        assert accepted1.all() and accepted2.all()
+
+    def test_uniforms_go_to_drawing_arrivals_in_order(self):
+        # Below LB draws nothing; the window and the region above theta each
+        # take the next uniform.
+        xs = [5.0, 7.0, 9.0, 7.0, 5.5, 9.5]
+        draws, accepted, retained = _masks(ACTIVE, _policy(), xs, _given(0.1, 0.9, 0.3, 0.2))
+        assert draws.tolist() == [False, True, True, True, False, True]
+        assert accepted.tolist() == [False, True, True, True, False, True]
+        assert retained.tolist() == [False, True, False, True, False, True]
+
+    @pytest.mark.parametrize("spec", [ACTIVE, EXPLORE, EXPLOIT])
+    def test_matches_scalar_rule(self, spec):
+        # Per-arrival policies and a shared uniform stream: the masks equal
+        # the scalar rule applied one arrival at a time.
+        from reference_loop import decide
+        rng = np.random.default_rng(9)
+        n = 2000
+        theta = rng.uniform(7.0, 9.0, size=n)
+        lb = theta - rng.uniform(0.0, 2.0, size=n)
+        if spec is EXPLOIT:
+            lb = theta
+        eps = rng.uniform(0.0, 1.0, size=n)
+        xs = rng.normal(8.0, 1.5, size=n)
+        uniforms = np.random.default_rng(1).random(n)
+        draws, accepted, retained = admission_masks(spec, xs, theta, lb, eps,
+                                                    lambda k: uniforms[:k])
+        scalar_rng = np.random.default_rng(1)
+        for i in range(n):
+            gp = GroupPolicy(theta=theta[i], lb=lb[i], eps=eps[i])
+            assert decide(spec, gp, xs[i], scalar_rng) == (accepted[i], retained[i])
+        # The scalar rule drew exactly one uniform per drawing arrival.
+        check = np.random.default_rng(1)
+        check.random(int(draws.sum()))
+        assert scalar_rng.bit_generator.state == check.bit_generator.state
 
 
 class TestUpdateReference:
@@ -390,3 +439,20 @@ class TestEngineRuns:
         )
         with pytest.raises(DomainError):
             engine.run(iter([]), horizon=100)
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the import time; the engine computes the
+    # normal pdf and cdf it needs from numpy and scipy.special.
+    import os
+    import subprocess
+    import sys
+
+    import debiasim
+    src = str(Path(debiasim.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = "import sys, debiasim; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True)
+    assert out.stdout.strip() == "False"

@@ -10,10 +10,12 @@ from debiasim.dist import Family, beta, gaussian
 from debiasim.errors import InsufficientDataError, MalformedRowError
 from debiasim.policy import PopulationSpec
 from debiasim.stream import (
+    ArrivalBlock,
     CsvReplayStream,
     SyntheticStream,
     fit_initial_estimate,
     fit_scorer,
+    load_replay,
     logistic_loss,
     read_scored_csv,
 )
@@ -27,21 +29,41 @@ def _population(fracs=None):
     return PopulationSpec(fractions=fracs, dists=dists)
 
 
+def _take(stream, n):
+    """The first n arrivals of a block stream as (xs, ys, group names)."""
+    xs, ys, gs = [], [], []
+    for block in stream:
+        xs += block.xs.tolist()
+        ys += block.ys.tolist()
+        gs += [block.groups[c] for c in block.gcodes.tolist()]
+        if len(xs) >= n:
+            break
+    return xs[:n], ys[:n], gs[:n]
+
+
 class TestSyntheticStream:
     def test_determinism(self):
         pop = _population()
         s1 = SyntheticStream(pop, np.random.default_rng(123))
         s2 = SyntheticStream(pop, np.random.default_rng(123))
-        for a, b in itertools.islice(zip(s1, s2), 1000):
-            assert (a.x, a.y, a.g) == (b.x, b.y, b.g)
+        for a, b in itertools.islice(zip(s1, s2), 3):
+            assert np.array_equal(a.xs, b.xs)
+            assert np.array_equal(a.ys, b.ys)
+            assert np.array_equal(a.gcodes, b.gcodes)
+            assert a.groups == b.groups == ("a", "b")
+
+    def test_fixed_blocks(self):
+        stream = SyntheticStream(_population(), np.random.default_rng(0))
+        assert [len(b.xs) for b in itertools.islice(stream, 3)] == [8192] * 3
 
     def test_multinomial_concentration(self):
         pop = _population()
         stream = SyntheticStream(pop, np.random.default_rng(0))
         counts = {k: 0 for k in pop.fractions}
         n = 10**5
-        for rec in itertools.islice(stream, n):
-            counts[(rec.g, rec.y)] += 1
+        _, ys, gs = _take(stream, n)
+        for g, y in zip(gs, ys):
+            counts[(g, y)] += 1
         sigma = math.sqrt(n * 0.25 * 0.75)
         for k, c in counts.items():
             assert abs(c - n * 0.25) < 3 * sigma
@@ -50,15 +72,15 @@ class TestSyntheticStream:
         pop = PopulationSpec(fractions={("a", 1): 1.0, ("a", 0): 0.0},
                              dists={("a", 1): gaussian(10, 1), ("a", 0): gaussian(7, 1)})
         stream = SyntheticStream(pop, np.random.default_rng(1))
-        for rec in itertools.islice(stream, 500):
-            assert (rec.g, rec.y) == ("a", 1)
+        _, ys, gs = _take(stream, 500)
+        assert set(zip(gs, ys)) == {("a", 1)}
 
     def test_beta_population(self):
         pop = PopulationSpec(
             fractions={("a", 0): 0.5, ("a", 1): 0.5},
             dists={("a", 0): beta(2, 5), ("a", 1): beta(5, 2)})
         stream = SyntheticStream(pop, np.random.default_rng(2))
-        xs = [rec.x for rec in itertools.islice(stream, 2000)]
+        xs, _, _ = _take(stream, 2000)
         assert all(0.0 <= x <= 1.0 for x in xs)
 
 
@@ -70,21 +92,48 @@ class TestCsvReplay:
 
     def test_replays_exactly(self, tmp_path):
         path = self._write(tmp_path, ["1.5,1,a", "2.5,0,b", "3.5,1,a"])
-        stream = CsvReplayStream(path)
-        records = list(stream)
-        assert len(records) == 3
-        assert records[0].x == 1.5 and records[1].g == "b"
+        xs, ys, gs = _take(CsvReplayStream(load_replay(path)), 10)
+        assert xs == [1.5, 2.5, 3.5]
+        assert ys == [1, 0, 1]
+        assert gs == ["a", "b", "a"]
 
     def test_shuffle_preserves_multiset(self, tmp_path):
         rows = [f"{i}.0,{i % 2},a" for i in range(50)]
         path = self._write(tmp_path, rows)
-        plain = [r.x for r in CsvReplayStream(path)]
-        shuffled = [r.x for r in CsvReplayStream(path, shuffle_rng=np.random.default_rng(7))]
+        plain, _, _ = _take(CsvReplayStream(load_replay(path)), 50)
+        shuffled, _, _ = _take(CsvReplayStream(load_replay(path),
+                                               shuffle_rng=np.random.default_rng(7)), 50)
         assert sorted(plain) == sorted(shuffled)
         assert plain != shuffled
 
+    def test_shuffle_permutes_rows(self, tmp_path):
+        # Each seed's order is its shuffle generator's permutation of the rows.
+        rows = [f"{i}.0,{i % 2},{'ab'[i % 3 == 0]}" for i in range(40)]
+        path = self._write(tmp_path, rows)
+        records = read_scored_csv(path)
+        order = np.random.default_rng(11).permutation(len(records))
+        xs, ys, gs = _take(CsvReplayStream(ArrivalBlock.from_records(records),
+                                           shuffle_rng=np.random.default_rng(11)), 40)
+        assert list(zip(xs, ys, gs)) == [tuple(records[i]) for i in order]
+
+    def test_empty_file_body(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("x,y,g\n")
+        block = load_replay(path)
+        assert len(block.xs) == 0 and block.groups == ()
+
     def test_malformed_row_names_index(self, tmp_path):
         path = self._write(tmp_path, ["1.0,1,a", "oops,0,b"])
+        with pytest.raises(MalformedRowError, match="row 2"):
+            read_scored_csv(path)
+
+    def test_short_row_names_index(self, tmp_path):
+        path = self._write(tmp_path, ["1.0,1,a", "2.0,0"])
+        with pytest.raises(MalformedRowError, match="row 2: 2 fields, header has 3"):
+            read_scored_csv(path)
+
+    def test_blank_lines_skipped_and_not_counted(self, tmp_path):
+        path = self._write(tmp_path, ["1.0,1,a", "", "oops,0,b"])
         with pytest.raises(MalformedRowError, match="row 2"):
             read_scored_csv(path)
 
