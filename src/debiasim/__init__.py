@@ -60,7 +60,6 @@ from .runner import run_many, run_single
 from .stream import (
     AgentRecord,
     ArrivalBlock,
-    CsvReplayStream,
     ScorerModel,
     SyntheticStream,
     fit_initial_estimate,

@@ -35,6 +35,17 @@ def _parse_pair(text: str, name: str) -> tuple:
     return float(parts[0]), float(parts[1])
 
 
+def _read_csv(path, columns: List[str]) -> List[dict]:
+    """The rows of a CSV whose header names every one of ``columns``."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    missing = [c for c in columns if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ConfigError(f"{path}: no column named {', '.join(map(repr, missing))}")
+    return rows
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
@@ -45,11 +56,10 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_score(args) -> int:
-    with open(args.data, newline="") as fh:
-        rows = list(csv.DictReader(fh))
+    features = [f.strip() for f in args.features.split(",") if f.strip()]
+    rows = _read_csv(args.data, [args.label_col, args.group_col] + features)
     if not rows:
         raise ConfigError(f"{args.data}: no data rows")
-    features = [f.strip() for f in args.features.split(",") if f.strip()]
     n_fit = max(int(len(rows) * args.fit_frac), 2)
     model = fit_scorer(rows[:n_fit], label_col=args.label_col, features=features,
                        learn_rate=args.lr, iterations=args.iters)
@@ -72,19 +82,15 @@ def _cmd_score(args) -> int:
 
 
 def _read_scores(args) -> List[float]:
-    with open(args.scores, newline="") as fh:
-        rows = list(csv.DictReader(fh))
     filters = {}
     for f in args.filter or []:
         key, _, val = f.partition("=")
         if not val:
             raise ConfigError(f"--filter: expected col=value, got {f!r}")
         filters[key] = val
-    out = []
-    for row in rows:
-        if all(str(row[k]) == v for k, v in filters.items()):
-            out.append(float(row[args.column]))
-    return out
+    rows = _read_csv(args.scores, [args.column, *filters])
+    return [float(row[args.column]) for row in rows
+            if all(str(row[k]) == v for k, v in filters.items())]
 
 
 def _cmd_fitdist(args) -> int:

@@ -26,6 +26,18 @@ def _require(obj: Mapping, key: str, path: str):
     return obj[key]
 
 
+def _mapping(value, path: str) -> Mapping:
+    if not isinstance(value, Mapping):
+        raise ConfigError(f"{path}: expected a mapping, got {value!r}")
+    return value
+
+
+def _int(value, path: str) -> int:
+    if type(value) is not int:  # bool and float are not integers here
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
     try:
         family = Family(_require(d, "family", path))
@@ -63,7 +75,7 @@ def _dist_to_dict(est: ParametricEstimate) -> Dict:
 
 def _pairs_from_nested(nested: Mapping, path: str, parse_leaf) -> Dict[PairKey, object]:
     out: Dict[PairKey, object] = {}
-    for g, labels in nested.items():
+    for g, labels in _mapping(nested, path).items():
         if not isinstance(labels, Mapping):
             raise ConfigError(f"{path}.{g}: expected a mapping of labels")
         for y_str, leaf in labels.items():
@@ -186,7 +198,7 @@ def config_from_dict(raw: Mapping) -> RunConfig:
     except ValueError as exc:
         raise ConfigError(f"config.update_mode: {exc}") from None
 
-    src_raw = _require(raw, "source", "config")
+    src_raw = _mapping(_require(raw, "source", "config"), "config.source")
     kind = _require(src_raw, "kind", "config.source")
     if kind not in ("synthetic", "csv_replay"):
         raise ConfigError(f"config.source.kind: unknown kind {kind!r}")
@@ -195,7 +207,8 @@ def config_from_dict(raw: Mapping) -> RunConfig:
     source = SourceConfig(
         kind=kind,
         path=src_raw.get("path"),
-        columns=dict(src_raw["columns"]) if src_raw.get("columns") else None,
+        columns=dict(_mapping(src_raw["columns"], "config.source.columns"))
+        if src_raw.get("columns") else None,
         shuffle=bool(src_raw.get("shuffle", False)),
     )
 
@@ -222,7 +235,7 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         except Exception as exc:
             raise ConfigError(f"config.population: {exc}") from exc
 
-    fair_raw = raw.get("fairness", {})
+    fair_raw = _mapping(raw.get("fairness", {}), "config.fairness")
     try:
         fairness = FairnessConstraint(
             kind=ConstraintKind(fair_raw.get("kind", "unconstrained")),
@@ -245,7 +258,7 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         raise ConfigError(f"config.epsilon: {exc}") from None
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(isinstance(s, int) for s in seeds):
+    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
         raise ConfigError(f"config.seeds: expected a list of integers, got {seeds!r}")
 
     return RunConfig(
@@ -255,8 +268,8 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         fractions=fractions,
         fairness=fairness,
         schedule=schedule,
-        batch_gate=int(raw.get("batch_gate", 50)),
-        horizon=int(_require(raw, "horizon", "config")),
+        batch_gate=_int(raw.get("batch_gate", 50), "config.batch_gate"),
+        horizon=_int(_require(raw, "horizon", "config"), "config.horizon"),
         seeds=tuple(seeds),
         truth=truth,
         update_mode=update_mode,

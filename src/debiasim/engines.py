@@ -33,7 +33,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import special
@@ -64,8 +64,6 @@ from .stream import ArrivalBlock
 log = logging.getLogger(__name__)
 
 _NEG_INF = float("-inf")
-# Admission uniforms drawn per refill of an engine's pool.
-_UNIFORM_BLOCK = 8192
 _SQRT_2PI = np.sqrt(2 * np.pi)
 
 
@@ -334,17 +332,17 @@ def recover_sigma(s_trunc2: float, mu: float, a: float, b: float) -> float:
 class Engine:
     """One seeded online run: admission, batch collection, estimate updates.
 
-    The engine consumes an arrival stream round by round. A round ends when
-    every in-scope (group, label) buffer has collected ``batch_gate`` new
-    samples; the estimates, thresholds and exploration bounds are then
-    re-solved and one trace row is emitted. Stream exhaustion before the
-    gate closes terminates the run cleanly, discarding the partial batch.
+    The engine consumes one block of arrivals round by round. A round ends
+    when every in-scope (group, label) buffer has collected ``batch_gate``
+    new samples; the estimates, thresholds and exploration bounds are then
+    re-solved and one trace row is emitted. Running out of arrivals before
+    the gate closes terminates the run cleanly, discarding the partial batch.
 
     Arrivals are decided in windows. A window never spans a change of a
     group's eps, so each group's policy is one (theta, LB, eps) throughout.
-    Uniforms come from a pool drawn ahead in blocks: ``rng.random(k)`` gives
-    the same numbers as k single draws, and an arrival draws only when the
-    scalar rule would, so every trace matches one arrival at a time.
+    The run's uniforms are drawn at once: ``rng.random(n)`` gives the same
+    numbers as n single draws, and an arrival takes the next one only when
+    the scalar rule would draw, so every trace matches one arrival at a time.
     """
 
     def __init__(
@@ -427,9 +425,6 @@ class Engine:
         self._slot = np.full(2 * len(self.groups), -1, dtype=np.intp)
         for slot, (g, y) in enumerate(self.pairs):
             self._slot[2 * self.groups.index(g) + y] = slot
-        # Admission uniforms drawn ahead; the engine's rng feeds nothing else.
-        self._pool = np.empty(0)
-        self._upos = 0
 
         self.trace = RunTrace(self.groups, self.pairs, seed=seed, config_hash=config_hash,
                               two_param=spec.two_param)
@@ -531,50 +526,47 @@ class Engine:
         self.updates += 1
         self.policy = self._solve_policy({g: gp.eps for g, gp in self.policy.items()})
 
-    def run(self, arrivals: Iterable[ArrivalBlock], horizon: int) -> RunTrace:
-        """Consume up to ``horizon`` arrivals, updating whenever the gate closes.
+    def run(self, arrivals: ArrivalBlock, horizon: int) -> RunTrace:
+        """Decide the block's first ``horizon`` arrivals, updating whenever the gate closes.
 
-        ``arrivals`` yields blocks of arrivals. A round reads windows of the
-        arrivals not yet committed: the first about twice as long as the
-        previous round, each next one twice as long while the gate stays
-        open. The arrivals after the one that closes the gate carry over to
-        the next round.
+        A round reads windows of the arrivals not yet committed: the first
+        about twice as long as the previous round, each next one twice as
+        long while the gate stays open. The arrivals after the one that
+        closes the gate carry over to the next round. The run's uniforms are
+        drawn here, one per arrival: an arrival draws at most one.
         """
         if horizon < 4 * self.batch_gate:
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
-        pending = _Pending(arrivals, self.groups)
+        index = {g: i for i, g in enumerate(self.groups)}
+        unknown = [g for g in arrivals.groups if g not in index]
+        if unknown:
+            raise DomainError(f"stream groups {unknown} are not among the engine's groups")
+        n = min(horizon, len(arrivals.xs))
+        remap = np.array([index[g] for g in arrivals.groups], dtype=np.intp)
+        xs, ys, gi = arrivals.xs[:n], arrivals.ys[:n], remap[arrivals.gcodes[:n]]
+        self._uniforms = self.rng.random(n)
+        self._upos = 0
         self._emit_row()
         size = 2 * len(self.pairs) * self.batch_gate
-        while self.samples_seen < horizon:
+        while self.samples_seen < n:
             start = self.samples_seen
             round_counts = self._start_round()
-            if self._collect_round(pending, horizon, size, round_counts):
-                self._apply_updates(round_counts)
-                self._emit_row()
-                size = 2 * (self.samples_seen - start)
-            else:
+            closed = False
+            while not closed and self.samples_seen < n:
+                window = slice(self.samples_seen, self.samples_seen + size)
+                used, closed = self._window(xs[window], ys[window], gi[window], round_counts)
+                if used == size:
+                    size *= 2
+            if not closed:
                 # Partial batch at horizon or stream end: metrics counted,
                 # estimates untouched.
                 if self.samples_seen > self.trace.final.samples_seen:
                     self._emit_row()
                 break
+            self._apply_updates(round_counts)
+            self._emit_row()
+            size = 2 * (self.samples_seen - start)
         return self.trace
-
-    def _collect_round(self, pending: "_Pending", horizon: int, size: int,
-                       round_counts: Dict[GroupId, Dict[str, int]]) -> bool:
-        """Commit windows of arrivals until the gate closes (True), or until
-        the horizon or the stream ends first (False)."""
-        while self.samples_seen < horizon:
-            xs, ys, gi = pending.peek(min(size, horizon - self.samples_seen))
-            if not len(xs):
-                return False
-            used, closed = self._window(xs, ys, gi, round_counts)
-            pending.advance(used)
-            if closed:
-                return True
-            if used == len(xs):
-                size *= 2
-        return False
 
     def _eps_plan(self) -> Tuple[List[float], List[Tuple[int, int]], List[bool]]:
         """Each group's eps for the next window; for the groups whose eps can
@@ -592,7 +584,7 @@ class Engine:
             if sched.mode is ScheduleMode.FIXED_STEP:
                 eps.append(advance_epsilon(sched, nxt))
                 # Once floored, eps never changes again.
-                if sched.eps0 - sched.step * (nxt // width) > sched.eps_min:
+                if eps[-1] > sched.eps_min:
                     limits.append((gi, (nxt // width + 1) * width - nxt))
             else:
                 mon = self._monitor[g]
@@ -606,14 +598,6 @@ class Engine:
                     limits.append((gi, mon["start"] + width - nxt))
             triggers.append(trigger)
         return eps, limits, triggers
-
-    def _peek_uniforms(self, k: int) -> np.ndarray:
-        """The next k admission uniforms, left in the pool until committed."""
-        if len(self._pool) - self._upos < k:
-            fresh = self.rng.random(max(_UNIFORM_BLOCK, k))
-            self._pool = np.concatenate((self._pool[self._upos:], fresh))
-            self._upos = 0
-        return self._pool[self._upos:self._upos + k]
 
     def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray,
                 round_counts: Dict[GroupId, Dict[str, int]]) -> Tuple[int, bool]:
@@ -631,8 +615,9 @@ class Engine:
         xs, ys, gi = xs[:n], ys[:n], gi[:n]
 
         theta = self._theta_g[gi]
+        fresh = self._uniforms[self._upos:]
         draws, accepted, retained = admission_masks(
-            self.spec, xs, theta, self._lb_g[gi], np.array(eps)[gi], self._peek_uniforms)
+            self.spec, xs, theta, self._lb_g[gi], np.array(eps)[gi], lambda k: fresh[:k])
         above = xs >= theta
         kept = retained
         if self._drop_label0_above:
@@ -704,7 +689,7 @@ class Engine:
                     mon["exp"] = float(np.cumsum(terms)[-1])
 
         if self.oracle is not None:
-            diff = (accepted != label1).astype(np.int8) - ((xs >= self._oracle_g[gi]) != label1)
+            diff = regret_increment(accepted, xs >= self._oracle_g[gi], ys)
             nz = np.flatnonzero(diff)
             if len(nz):
                 steps = diff[nz]
@@ -724,37 +709,3 @@ class Engine:
                     state = self.two_param[key]
                     for x in batch:
                         twoparam_update(state, x)
-
-
-class _Pending:
-    """Arrivals read from a block stream and not yet committed, with each
-    block's group codes mapped to the engine's group indices."""
-
-    def __init__(self, blocks: Iterable[ArrivalBlock], groups: Tuple[GroupId, ...]):
-        self._blocks: Iterator[ArrivalBlock] = iter(blocks)
-        self._index = {g: i for i, g in enumerate(groups)}
-        self.xs = np.empty(0)
-        self.ys = np.empty(0, dtype=np.intp)
-        self.gi = np.empty(0, dtype=np.intp)
-        self.pos = 0
-
-    def peek(self, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next n arrivals, fewer only when the stream runs out."""
-        while len(self.xs) - self.pos < n:
-            block = next(self._blocks, None)
-            if block is None:
-                break
-            unknown = [g for g in block.groups if g not in self._index]
-            if unknown:
-                raise DomainError(f"stream groups {unknown} are not among the engine's groups")
-            remap = np.array([self._index[g] for g in block.groups], dtype=np.intp)
-            rest = slice(self.pos, None)
-            self.xs = np.concatenate((self.xs[rest], block.xs))
-            self.ys = np.concatenate((self.ys[rest], block.ys))
-            self.gi = np.concatenate((self.gi[rest], remap[block.gcodes]))
-            self.pos = 0
-        end = self.pos + n
-        return self.xs[self.pos:end], self.ys[self.pos:end], self.gi[self.pos:end]
-
-    def advance(self, m: int) -> None:
-        self.pos += m

@@ -17,6 +17,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+import numpy as np
+
 from .dist import Family, ParametricEstimate
 from .errors import UnsupportedFamilyError
 from .policy import FairnessConstraint, GroupId, PairKey, PopulationSpec, solve_thresholds
@@ -29,11 +31,14 @@ def bias(omega_hat: float, omega: float) -> float:
     return abs(omega_hat - omega)
 
 
-def regret_increment(engine_accept: bool, oracle_accept: bool, y: int) -> int:
-    """0-1 loss of the engine's decision minus the oracle's, in {-1, 0, 1}."""
-    loss_e = int(engine_accept != (y == 1))
-    loss_o = int(oracle_accept != (y == 1))
-    return loss_e - loss_o
+def regret_increment(engine_accept, oracle_accept, y):
+    """0-1 loss of the engine's decision minus the oracle's, in {-1, 0, 1}.
+
+    Elementwise on arrays of decisions and labels; int8.
+    """
+    label1 = np.equal(y, 1)
+    loss_e = np.not_equal(engine_accept, label1).astype(np.int8)
+    return loss_e - np.not_equal(oracle_accept, label1)
 
 
 def error_weight(x: float, y: int, true0: ParametricEstimate, true1: ParametricEstimate) -> float:
@@ -90,9 +95,6 @@ class OracleBaseline:
     def solve(cls, population: PopulationSpec, constraint: FairnessConstraint) -> "OracleBaseline":
         thetas = solve_thresholds(population.dists, population.fractions, constraint)
         return cls(population, thetas)
-
-    def accept(self, x: float, g: GroupId) -> bool:
-        return x >= self.thresholds[g]
 
 
 @dataclass

@@ -18,7 +18,7 @@ from .config import RunConfig
 from .engines import Engine
 from .errors import ConfigError
 from .metrics import RunTrace, write_summary
-from .stream import ArrivalBlock, CsvReplayStream, SyntheticStream, load_replay
+from .stream import ArrivalBlock, SyntheticStream, load_replay
 
 log = logging.getLogger(__name__)
 
@@ -34,13 +34,18 @@ def _replay_data(config: RunConfig) -> ArrivalBlock:
     return data
 
 
-def _make_stream(config: RunConfig, stream_rng, shuffle_rng,
-                 replay: Optional[ArrivalBlock] = None):
+def _arrivals(config: RunConfig, stream_rng, shuffle_rng,
+              replay: Optional[ArrivalBlock] = None) -> ArrivalBlock:
+    """The run's arrivals as one block: the synthetic stream's first
+    ``horizon``, or the replay rows, permuted by ``shuffle_rng`` if asked."""
     if config.source.kind == "synthetic":
-        return SyntheticStream(config.truth, stream_rng)
+        return SyntheticStream(config.truth, stream_rng).draw(config.horizon)
     if replay is None:
         replay = _replay_data(config)
-    return CsvReplayStream(replay, shuffle_rng=shuffle_rng if config.source.shuffle else None)
+    if not config.source.shuffle:
+        return replay
+    order = shuffle_rng.permutation(len(replay.xs))
+    return ArrivalBlock(replay.xs[order], replay.ys[order], replay.gcodes[order], replay.groups)
 
 
 def run_single(config: RunConfig, seed: int,
@@ -65,9 +70,9 @@ def run_single(config: RunConfig, seed: int,
         config_hash=config.config_hash(),
         seed=seed,
     )
-    stream = _make_stream(config, np.random.default_rng(stream_seq),
-                          np.random.default_rng(shuffle_seq), replay)
-    return engine.run(stream, config.horizon)
+    arrivals = _arrivals(config, np.random.default_rng(stream_seq),
+                         np.random.default_rng(shuffle_seq), replay)
+    return engine.run(arrivals, config.horizon)
 
 
 def run_many(

@@ -1,11 +1,11 @@
 """Arrival streams and score construction.
 
-Streams hand the engine arrivals in blocks of columns (``ArrivalBlock``).
+A run's arrivals reach the engine as one block of columns (``ArrivalBlock``).
 Synthetic streams draw (group, label) from the population's mass fractions
-and the feature from that pair's true distribution. Replay streams walk a
-scored CSV (columns x, y, g), parsed once into columns. For raw
-multi-feature data, a from-scratch logistic regression collapses records to
-a probability score in (0, 1), which doubles as a Beta-support feature.
+and the feature from that pair's true distribution. A replay is a scored CSV
+(columns x, y, g), parsed once into columns. For raw multi-feature data, a
+from-scratch logistic regression collapses records to a probability score
+in (0, 1), which doubles as a Beta-support feature.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,10 +55,10 @@ class ArrivalBlock(NamedTuple):
 
 
 class SyntheticStream:
-    """Infinite seeded stream of agents from a true population spec.
+    """Seeded stream of agents from a true population spec.
 
-    Iterating yields blocks of ``_CHUNK`` arrivals; each block draws its
-    pairs first, then every pair's features in one call.
+    Arrivals are drawn in chunks of ``_CHUNK``; each chunk draws its pairs
+    first, then every pair's features in one call.
     """
 
     def __init__(self, population: PopulationSpec, rng: np.random.Generator):
@@ -92,9 +92,11 @@ class SyntheticStream:
                 xs[mask] = lo + (hi - lo) * self.rng.beta(a, b, count)
         return ArrivalBlock(xs, self._pair_y[idx], self._pair_g[idx], self.groups)
 
-    def __iter__(self) -> Iterator[ArrivalBlock]:
-        while True:
-            yield self._draw()
+    def draw(self, n: int) -> ArrivalBlock:
+        """The stream's first n arrivals, cut from ceil(n / _CHUNK) chunks."""
+        chunks = [self._draw() for _ in range(max(1, -(-n // _CHUNK)))]
+        xs, ys, gcodes = (np.concatenate([c[i] for c in chunks])[:n] for i in range(3))
+        return ArrivalBlock(xs, ys, gcodes, self.groups)
 
 
 DEFAULT_COLUMNS = {"x": "x", "y": "y", "g": "g"}
@@ -144,23 +146,6 @@ def read_scored_csv(path, columns: Optional[Mapping[str, str]] = None) -> List[A
 def load_replay(path, columns: Optional[Mapping[str, str]] = None) -> ArrivalBlock:
     """A scored CSV parsed into one block of columns."""
     return ArrivalBlock.from_records(read_scored_csv(path, columns))
-
-
-class CsvReplayStream:
-    """Finite stream replaying parsed scored rows, optionally shuffled.
-
-    The shuffle permutes row indices once, when the stream is built; the
-    stream then yields the rows as one block.
-    """
-
-    def __init__(self, data: ArrivalBlock, shuffle_rng: Optional[np.random.Generator] = None):
-        if shuffle_rng is not None:
-            order = shuffle_rng.permutation(len(data.xs))
-            data = ArrivalBlock(data.xs[order], data.ys[order], data.gcodes[order], data.groups)
-        self.data = data
-
-    def __iter__(self) -> Iterator[ArrivalBlock]:
-        return iter((self.data,))
 
 
 @dataclass(frozen=True)

@@ -6,14 +6,15 @@ counted, and retained before the gate is checked again. The block kernel of
 ``debiasim.engines.Engine`` must write byte-identical traces;
 ``tests/test_kernel_equivalence.py`` holds it to that. The code below is
 the per-arrival loop as it stood in ``src/`` before the kernel replaced it,
-with two edits: ``run`` flattens the engine's block stream into
-``AgentRecord``s, and ``BatchBuffer.extend([x])`` stands for the removed
-``BatchBuffer.add(x)``.
+with three edits: ``run`` flattens the run's block of arrivals into
+``AgentRecord``s, ``BatchBuffer.extend([x])`` stands for the removed
+``BatchBuffer.add(x)``, and ``x >= thresholds[g]`` for the removed
+``OracleBaseline.accept(x, g)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -30,11 +31,10 @@ from debiasim.policy import GroupId, GroupPolicy, PairKey
 from debiasim.stream import AgentRecord, ArrivalBlock
 
 
-def records(blocks: Iterable[ArrivalBlock]) -> Iterator[AgentRecord]:
-    """One ``AgentRecord`` per arrival of a block stream, in order."""
-    for block in blocks:
-        for x, y, code in zip(block.xs.tolist(), block.ys.tolist(), block.gcodes.tolist()):
-            yield AgentRecord(x, y, block.groups[code])
+def records(block: ArrivalBlock) -> Iterator[AgentRecord]:
+    """One ``AgentRecord`` per arrival of a block, in order."""
+    for x, y, code in zip(block.xs.tolist(), block.ys.tolist(), block.gcodes.tolist()):
+        yield AgentRecord(x, y, block.groups[code])
 
 
 def decide(
@@ -97,7 +97,7 @@ class ReferenceEngine(Engine):
     def _gate_met(self) -> bool:
         return all(self.buffers[key].new_count >= self.batch_gate for key in self.pairs)
 
-    def run(self, arrivals: Iterable[ArrivalBlock], horizon: int) -> RunTrace:
+    def run(self, arrivals: ArrivalBlock, horizon: int) -> RunTrace:
         """Consume up to ``horizon`` arrivals, updating whenever the gate closes."""
         if horizon < 4 * self.batch_gate:
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
@@ -154,7 +154,7 @@ class ReferenceEngine(Engine):
             mon["exp"] += self._expected_error_prob(g)
 
         if self.oracle is not None:
-            diff = regret_increment(accepted, self.oracle.accept(x, g), y)
+            diff = regret_increment(accepted, x >= self.oracle.thresholds[g], y)
             if diff:
                 self.cum_regret += diff
                 if self._weighted_ok:

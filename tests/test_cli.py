@@ -2,6 +2,7 @@
 
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +101,29 @@ class TestConfig:
         with pytest.raises(ConfigError, match="population"):
             config_from_dict(d)
 
+    @pytest.mark.parametrize("over, field", [
+        ({"horizon": "lots"}, "config.horizon"),
+        ({"horizon": None}, "config.horizon"),
+        ({"horizon": 30000.7}, "config.horizon"),
+        ({"horizon": True}, "config.horizon"),
+        ({"batch_gate": "x"}, "config.batch_gate"),
+        ({"batch_gate": 50.9}, "config.batch_gate"),
+        ({"seeds": [True]}, "config.seeds"),
+        ({"seeds": [1.5]}, "config.seeds"),
+        ({"fractions": [0.5, 0.5]}, "config.fractions"),
+        ({"initial_estimates": [1]}, "config.initial_estimates"),
+        ({"population": [1]}, "config.population"),
+        ({"fairness": [1]}, "config.fairness"),
+        ({"source": ["synthetic"]}, "config.source"),
+        ({"source": {"kind": "csv_replay", "path": "x.csv", "columns": [1, 2]}},
+         "config.source.columns"),
+    ], ids=lambda v: v if isinstance(v, str) else repr(v))
+    def test_malformed_field_named(self, over, field):
+        # Each raised a bare ValueError/TypeError/AttributeError, or (the
+        # floats and the bool seed) was accepted, before.
+        with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
+            config_from_dict(base_dict(**over))
+
     @pytest.mark.parametrize("preset", sorted(PRESET_DIR.glob("*.json")),
                              ids=lambda p: p.stem)
     def test_presets_parse(self, preset):
@@ -193,6 +217,13 @@ class TestCli:
         assert code == 2
         assert "fractions" in capsys.readouterr().err
 
+    def test_malformed_horizon_exit_code(self, tmp_path, capsys):
+        cfg_path = tmp_path / "bad.json"
+        cfg_path.write_text(json.dumps(base_dict(horizon="lots")))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: config.horizon" in capsys.readouterr().err
+
     def test_replay_unknown_group_named(self, tmp_path, capsys):
         data = tmp_path / "scored.csv"
         data.write_text("x,y,g\n7.0,0,a\n10.0,1,zz\n9.5,1,a\n")
@@ -254,6 +285,25 @@ class TestCli:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["estimate"]["params"][0] - 1.94) < 0.1
+
+    @pytest.mark.parametrize("argv", [
+        ["fitdist", "--family", "beta", "--known", "3", "--column", "nope"],
+        ["fitdist", "--family", "beta", "--known", "3", "--filter", "nope=1"],
+        ["score", "--features", "f", "--label-col", "nope"],
+        ["score", "--features", "f", "--group-col", "nope"],
+        ["score", "--features", "f,nope"],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_missing_column_named(self, argv, tmp_path, capsys):
+        # Each died with a bare KeyError before.
+        data = tmp_path / "raw.csv"
+        data.write_text("x,f,y,g\n" + "".join(f"0.{i},{i},{i % 2},a\n" for i in range(1, 9)))
+        io = ["--scores", str(data)] if argv[0] == "fitdist" else \
+            ["--data", str(data), "--out", str(tmp_path / "s.csv")]
+        code = main(argv[:1] + io + argv[1:])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(data) in err and "'nope'" in err
+        assert not (tmp_path / "s.csv").exists()
 
     def test_oracle_median_density_m0(self, capsys):
         code = main(["oracle", "median-density", "--family", "gaussian",

@@ -31,6 +31,7 @@ from debiasim.errors import (
 )
 from debiasim.policy import FairnessConstraint, GroupPolicy
 from debiasim.runner import run_single
+from debiasim.stream import ArrivalBlock, SyntheticStream
 
 
 ACTIVE = ENGINE_SPECS[EngineKind.ACTIVE_DEBIASING]
@@ -312,9 +313,8 @@ class TestEngineRuns:
             constraint=cfg.fairness, schedule=cfg.schedule, batch_gate=cfg.batch_gate,
             rng=np.random.default_rng(0), truth=cfg.truth,
         )
-        from debiasim.stream import SyntheticStream
-        stream = SyntheticStream(cfg.truth, np.random.default_rng(1))
-        engine.run(stream, 2000)
+        arrivals = SyntheticStream(cfg.truth, np.random.default_rng(1)).draw(2000)
+        engine.run(arrivals, 2000)
         # A bounded engine's buffer holds one round's batch, and its
         # update_lb is the LB that round collected under.
         assert engine.spec.bounded
@@ -437,8 +437,22 @@ class TestEngineRuns:
             constraint=cfg.fairness, schedule=cfg.schedule, batch_gate=cfg.batch_gate,
             rng=np.random.default_rng(0), truth=cfg.truth,
         )
-        with pytest.raises(DomainError):
-            engine.run(iter([]), horizon=100)
+        arrivals = SyntheticStream(cfg.truth, np.random.default_rng(1)).draw(100)
+        with pytest.raises(DomainError, match="horizon"):
+            engine.run(arrivals, horizon=100)
+
+    def test_unknown_group_refused(self):
+        cfg = _base_config(horizon=3000)
+        engine = Engine(
+            kind=cfg.engine, estimates=cfg.initial_estimates, fractions=cfg.fractions,
+            constraint=cfg.fairness, schedule=cfg.schedule, batch_gate=cfg.batch_gate,
+            rng=np.random.default_rng(0), truth=cfg.truth,
+        )
+        arrivals = ArrivalBlock(np.array([7.0, 9.0]), np.array([0, 1]), np.array([0, 1]),
+                                ("a", "zz"))
+        with pytest.raises(DomainError, match="'zz'"):
+            engine.run(arrivals, horizon=3000)
+        assert engine.trace.rows == []
 
 
 def test_import_leaves_scipy_stats_out():

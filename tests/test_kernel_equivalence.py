@@ -117,6 +117,13 @@ def test_replay_runs_out_mid_round(shuffle, tmp_path):
     assert_same_trace(config, 2, tmp_path)
 
 
+@pytest.mark.parametrize("shuffle", [False, True])
+def test_replay_longer_than_horizon(shuffle, tmp_path):
+    # The run decides the first 500 of 777 rows, after the shuffle.
+    config = _replay_raw(tmp_path, _rows(777, 6), shuffle=shuffle, horizon=500)
+    assert_same_trace(config, 4, tmp_path)
+
+
 def test_empty_stream(tmp_path):
     config = _replay_raw(tmp_path, [])
     assert_same_trace(config, 0, tmp_path)

@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from debiasim import runner
+from debiasim.config import config_from_dict
 from debiasim.dist import Family, beta, gaussian
 from debiasim.errors import InsufficientDataError, MalformedRowError
 from debiasim.policy import PopulationSpec
 from debiasim.stream import (
-    ArrivalBlock,
-    CsvReplayStream,
     SyntheticStream,
     fit_initial_estimate,
     fit_scorer,
@@ -29,39 +29,46 @@ def _population(fracs=None):
     return PopulationSpec(fractions=fracs, dists=dists)
 
 
-def _take(stream, n):
-    """The first n arrivals of a block stream as (xs, ys, group names)."""
-    xs, ys, gs = [], [], []
-    for block in stream:
-        xs += block.xs.tolist()
-        ys += block.ys.tolist()
-        gs += [block.groups[c] for c in block.gcodes.tolist()]
-        if len(xs) >= n:
-            break
-    return xs[:n], ys[:n], gs[:n]
+def _cols(block):
+    """A block's arrivals as (xs, ys, group names) lists."""
+    return block.xs.tolist(), block.ys.tolist(), [block.groups[c] for c in block.gcodes.tolist()]
 
 
 class TestSyntheticStream:
     def test_determinism(self):
         pop = _population()
-        s1 = SyntheticStream(pop, np.random.default_rng(123))
-        s2 = SyntheticStream(pop, np.random.default_rng(123))
-        for a, b in itertools.islice(zip(s1, s2), 3):
-            assert np.array_equal(a.xs, b.xs)
-            assert np.array_equal(a.ys, b.ys)
-            assert np.array_equal(a.gcodes, b.gcodes)
-            assert a.groups == b.groups == ("a", "b")
+        a = SyntheticStream(pop, np.random.default_rng(123)).draw(3 * 8192)
+        b = SyntheticStream(pop, np.random.default_rng(123)).draw(3 * 8192)
+        assert np.array_equal(a.xs, b.xs)
+        assert np.array_equal(a.ys, b.ys)
+        assert np.array_equal(a.gcodes, b.gcodes)
+        assert a.groups == b.groups == ("a", "b")
 
     def test_fixed_blocks(self):
-        stream = SyntheticStream(_population(), np.random.default_rng(0))
-        assert [len(b.xs) for b in itertools.islice(stream, 3)] == [8192] * 3
+        # draw(n) reads whole 8192-arrival chunks: ceil(n / 8192) of them.
+        for n, chunks in ((1, 1), (8191, 1), (8192, 1), (8193, 2), (3 * 8192 + 17, 4)):
+            drawn = SyntheticStream(_population(), np.random.default_rng(0))
+            chunked = SyntheticStream(_population(), np.random.default_rng(0))
+            assert len(drawn.draw(n).xs) == n
+            assert [len(chunked._draw().xs) for _ in range(chunks)] == [8192] * chunks
+            assert drawn.rng.bit_generator.state == chunked.rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [1, 8191, 8192, 8193])
+    def test_draw_is_a_prefix(self, n):
+        # A run's arrivals do not depend on how many the run asks for.
+        m = 3 * 8192 + 17
+        long = SyntheticStream(_population(), np.random.default_rng(5)).draw(m)
+        short = SyntheticStream(_population(), np.random.default_rng(5)).draw(n)
+        for col_long, col_short in zip(long[:3], short[:3]):
+            assert np.array_equal(col_long[:n], col_short)
+        assert long.groups == short.groups
 
     def test_multinomial_concentration(self):
         pop = _population()
         stream = SyntheticStream(pop, np.random.default_rng(0))
         counts = {k: 0 for k in pop.fractions}
         n = 10**5
-        _, ys, gs = _take(stream, n)
+        _, ys, gs = _cols(stream.draw(n))
         for g, y in zip(gs, ys):
             counts[(g, y)] += 1
         sigma = math.sqrt(n * 0.25 * 0.75)
@@ -72,7 +79,7 @@ class TestSyntheticStream:
         pop = PopulationSpec(fractions={("a", 1): 1.0, ("a", 0): 0.0},
                              dists={("a", 1): gaussian(10, 1), ("a", 0): gaussian(7, 1)})
         stream = SyntheticStream(pop, np.random.default_rng(1))
-        _, ys, gs = _take(stream, 500)
+        _, ys, gs = _cols(stream.draw(500))
         assert set(zip(gs, ys)) == {("a", 1)}
 
     def test_beta_population(self):
@@ -80,8 +87,21 @@ class TestSyntheticStream:
             fractions={("a", 0): 0.5, ("a", 1): 0.5},
             dists={("a", 0): beta(2, 5), ("a", 1): beta(5, 2)})
         stream = SyntheticStream(pop, np.random.default_rng(2))
-        xs, _, _ = _take(stream, 2000)
+        xs, _, _ = _cols(stream.draw(2000))
         assert all(0.0 <= x <= 1.0 for x in xs)
+
+
+def _replay_arrivals(path, shuffle_rng=None):
+    """The block a run of a replay config over ``path`` decides."""
+    config = config_from_dict({
+        "engine": "active_debiasing",
+        "source": {"kind": "csv_replay", "path": str(path), "shuffle": shuffle_rng is not None},
+        "fractions": {g: {"0": 0.25, "1": 0.25} for g in "ab"},
+        "initial_estimates": {g: {"0": {"family": "gaussian", "params": [6, 1]},
+                                  "1": {"family": "gaussian", "params": [9, 1]}} for g in "ab"},
+        "horizon": 1000,
+    })
+    return runner._arrivals(config, None, shuffle_rng, load_replay(path))
 
 
 class TestCsvReplay:
@@ -92,7 +112,7 @@ class TestCsvReplay:
 
     def test_replays_exactly(self, tmp_path):
         path = self._write(tmp_path, ["1.5,1,a", "2.5,0,b", "3.5,1,a"])
-        xs, ys, gs = _take(CsvReplayStream(load_replay(path)), 10)
+        xs, ys, gs = _cols(load_replay(path))
         assert xs == [1.5, 2.5, 3.5]
         assert ys == [1, 0, 1]
         assert gs == ["a", "b", "a"]
@@ -100,9 +120,9 @@ class TestCsvReplay:
     def test_shuffle_preserves_multiset(self, tmp_path):
         rows = [f"{i}.0,{i % 2},a" for i in range(50)]
         path = self._write(tmp_path, rows)
-        plain, _, _ = _take(CsvReplayStream(load_replay(path)), 50)
-        shuffled, _, _ = _take(CsvReplayStream(load_replay(path),
-                                               shuffle_rng=np.random.default_rng(7)), 50)
+        plain, _, _ = _cols(_replay_arrivals(path))
+        shuffled, _, _ = _cols(_replay_arrivals(path, np.random.default_rng(7)))
+        assert plain == [float(i) for i in range(50)]
         assert sorted(plain) == sorted(shuffled)
         assert plain != shuffled
 
@@ -112,8 +132,7 @@ class TestCsvReplay:
         path = self._write(tmp_path, rows)
         records = read_scored_csv(path)
         order = np.random.default_rng(11).permutation(len(records))
-        xs, ys, gs = _take(CsvReplayStream(ArrivalBlock.from_records(records),
-                                           shuffle_rng=np.random.default_rng(11)), 40)
+        xs, ys, gs = _cols(_replay_arrivals(path, np.random.default_rng(11)))
         assert list(zip(xs, ys, gs)) == [tuple(records[i]) for i in order]
 
     def test_empty_file_body(self, tmp_path):
