@@ -49,7 +49,6 @@ from .oracle import (
 from .policy import (
     ConstraintKind,
     FairnessConstraint,
-    GroupPolicy,
     PopulationSpec,
     expected_loss,
     lower_bound,

@@ -12,11 +12,20 @@ from typing import List, Optional
 import numpy as np
 
 from . import oracle as oracle_mod
-from .config import _dist_from_dict, _dist_to_dict, _pairs_from_nested, load_config
+from .config import (
+    _dist_from_dict,
+    _dist_to_dict,
+    _fairness_from_dict,
+    _mapping,
+    _number,
+    _pairs_from_nested,
+    _require,
+    load_config,
+)
 from .dist import Family, ParametricEstimate, TruncationWindow
 from .engines import UpdateMode
 from .errors import ConfigError, DebiasimError
-from .policy import ConstraintKind, FairnessConstraint, lower_bound, solve_thresholds
+from .policy import lower_bound, solve_thresholds
 from .runner import run_many
 from .stream import fit_initial_estimate, fit_scorer
 
@@ -29,10 +38,11 @@ def _parse_seeds(text: str) -> List[int]:
 
 
 def _parse_pair(text: str, name: str) -> tuple:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"{name}: expected two comma-separated numbers, got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        lo, hi = (float(part) for part in text.split(","))
+    except ValueError:
+        raise ConfigError(f"{name}: expected two comma-separated numbers, got {text!r}") from None
+    return lo, hi
 
 
 def _read_csv(path, columns: List[str]) -> List[dict]:
@@ -89,8 +99,15 @@ def _read_scores(args) -> List[float]:
             raise ConfigError(f"--filter: expected col=value, got {f!r}")
         filters[key] = val
     rows = _read_csv(args.scores, [args.column, *filters])
-    return [float(row[args.column]) for row in rows
-            if all(str(row[k]) == v for k, v in filters.items())]
+    scores = []
+    for i, row in enumerate(rows, start=1):
+        if all(str(row[k]) == v for k, v in filters.items()):
+            try:
+                scores.append(float(row[args.column]))
+            except (TypeError, ValueError):
+                raise ConfigError(f"{args.scores}: row {i}: column {args.column!r} holds "
+                                  f"{row[args.column]!r}, not a number") from None
+    return scores
 
 
 def _cmd_fitdist(args) -> int:
@@ -146,13 +163,16 @@ def _cmd_oracle_drift(args) -> int:
 
 
 def _cmd_oracle_threshold(args) -> int:
-    raw = json.loads(Path(args.spec).read_text())
-    estimates = _pairs_from_nested(raw["estimates"], "estimates", _dist_from_dict)
-    fractions = _pairs_from_nested(raw["fractions"], "fractions",
-                                   lambda leaf, path: float(leaf))
-    fair = raw.get("fairness", {})
-    constraint = FairnessConstraint(kind=ConstraintKind(fair.get("kind", "unconstrained")),
-                                    tolerance=float(fair.get("tolerance", 1e-6)))
+    try:
+        raw = json.loads(Path(args.spec).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{args.spec}: invalid JSON: {exc}") from None
+    raw = _mapping(raw, "spec")
+    estimates = _pairs_from_nested(_require(raw, "estimates", "spec"), "spec.estimates",
+                                   _dist_from_dict)
+    fractions = _pairs_from_nested(_require(raw, "fractions", "spec"), "spec.fractions",
+                                   _number)
+    constraint = _fairness_from_dict(raw.get("fairness", {}), "spec.fairness")
     brute, brute_loss = oracle_mod.brute_force_threshold(
         estimates, fractions, constraint, grid_resolution=args.grid)
     solved = solve_thresholds(estimates, fractions, constraint)

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .dist import Family, ParametricEstimate
 from .engines import EngineKind, ExplorationSchedule, ScheduleMode, UpdateMode
-from .errors import ConfigError
+from .errors import ConfigError, DomainError
 from .policy import ConstraintKind, FairnessConstraint, PairKey, PopulationSpec
 
 
@@ -38,7 +39,14 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _number(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    return float(value)
+
+
 def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
+    d = _mapping(d, path)
     try:
         family = Family(_require(d, "family", path))
     except ValueError as exc:
@@ -47,14 +55,14 @@ def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
     if not (isinstance(params, (list, tuple)) and len(params) == 2):
         raise ConfigError(f"{path}.params: expected two numbers, got {params!r}")
     kwargs = {
-        "ref_level": float(d.get("ref_level", 50.0)),
-        "unknown_index": int(d.get("unknown_index", 0)),
+        "ref_level": _number(d.get("ref_level", 50.0), f"{path}.ref_level"),
+        "unknown_index": _int(d.get("unknown_index", 0), f"{path}.unknown_index"),
     }
     if family is Family.BETA:
         support = d.get("support", [0.0, 1.0])
         if not (isinstance(support, (list, tuple)) and len(support) == 2):
             raise ConfigError(f"{path}.support: expected [lo, hi], got {support!r}")
-        kwargs["support"] = (float(support[0]), float(support[1]))
+        kwargs["support"] = tuple(_number(v, f"{path}.support") for v in support)
     try:
         return ParametricEstimate(family, (float(params[0]), float(params[1])), **kwargs)
     except Exception as exc:
@@ -83,6 +91,19 @@ def _pairs_from_nested(nested: Mapping, path: str, parse_leaf) -> Dict[PairKey, 
                 raise ConfigError(f"{path}.{g}.{y_str}: label key must be '0' or '1'")
             out[(str(g), int(y_str))] = parse_leaf(leaf, f"{path}.{g}.{y_str}")
     return out
+
+
+def _fairness_from_dict(fair_raw, path: str) -> FairnessConstraint:
+    fair_raw = _mapping(fair_raw, path)
+    try:
+        kind = ConstraintKind(fair_raw.get("kind", "unconstrained"))
+    except ValueError as exc:
+        raise ConfigError(f"{path}.kind: {exc}") from None
+    tolerance = _number(fair_raw.get("tolerance", 1e-6), f"{path}.tolerance")
+    try:
+        return FairnessConstraint(kind=kind, tolerance=tolerance)
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _pairs_to_nested(pairs: Mapping[PairKey, object], to_leaf) -> Dict:
@@ -204,12 +225,15 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         raise ConfigError(f"config.source.kind: unknown kind {kind!r}")
     if kind == "csv_replay" and not src_raw.get("path"):
         raise ConfigError("config.source.path: required for csv_replay")
+    shuffle = src_raw.get("shuffle", False)
+    if type(shuffle) is not bool:
+        raise ConfigError(f"config.source.shuffle: expected true or false, got {shuffle!r}")
     source = SourceConfig(
         kind=kind,
         path=src_raw.get("path"),
         columns=dict(_mapping(src_raw["columns"], "config.source.columns"))
         if src_raw.get("columns") else None,
-        shuffle=bool(src_raw.get("shuffle", False)),
+        shuffle=shuffle,
     )
 
     estimates = _pairs_from_nested(
@@ -217,14 +241,8 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         _dist_from_dict,
     )
 
-    def parse_frac(leaf, path: str) -> float:
-        try:
-            return float(leaf)
-        except (TypeError, ValueError):
-            raise ConfigError(f"{path}: expected a number, got {leaf!r}") from None
-
     fractions = _pairs_from_nested(_require(raw, "fractions", "config"),
-                                   "config.fractions", parse_frac)
+                                   "config.fractions", _number)
 
     truth = None
     if "population" in raw:
@@ -235,26 +253,23 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         except Exception as exc:
             raise ConfigError(f"config.population: {exc}") from exc
 
-    fair_raw = _mapping(raw.get("fairness", {}), "config.fairness")
-    try:
-        fairness = FairnessConstraint(
-            kind=ConstraintKind(fair_raw.get("kind", "unconstrained")),
-            tolerance=float(fair_raw.get("tolerance", 1e-6)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"config.fairness: {exc}") from None
+    fairness = _fairness_from_dict(raw.get("fairness", {}), "config.fairness")
 
-    eps_raw = raw.get("epsilon", {})
+    eps_raw = _mapping(raw.get("epsilon", {}), "config.epsilon")
+    try:
+        mode = ScheduleMode(eps_raw.get("mode", "fixed_step"))
+    except ValueError as exc:
+        raise ConfigError(f"config.epsilon.mode: {exc}") from None
     try:
         schedule = ExplorationSchedule(
-            mode=ScheduleMode(eps_raw.get("mode", "fixed_step")),
-            step=float(eps_raw.get("step", 0.1)),
-            gain=float(eps_raw.get("gain", 1.0)),
-            window=int(eps_raw.get("window", 3000)),
-            eps_min=float(eps_raw.get("eps_min", 0.05)),
-            eps0=float(eps_raw.get("eps0", 1.0)),
+            mode=mode,
+            step=_number(eps_raw.get("step", 0.1), "config.epsilon.step"),
+            gain=_number(eps_raw.get("gain", 1.0), "config.epsilon.gain"),
+            window=_int(eps_raw.get("window", 3000), "config.epsilon.window"),
+            eps_min=_number(eps_raw.get("eps_min", 0.05), "config.epsilon.eps_min"),
+            eps0=_number(eps_raw.get("eps0", 1.0), "config.epsilon.eps0"),
         )
-    except (ValueError, Exception) as exc:
+    except DomainError as exc:
         raise ConfigError(f"config.epsilon: {exc}") from None
 
     seeds = raw.get("seeds", [0])

@@ -131,7 +131,11 @@ class ParametricEstimate:
         return float(out) if np.ndim(out) == 0 else out
 
     def truncated_cdf(self, window: TruncationWindow, x):
-        """cdf of this distribution restricted to ``window``."""
+        """cdf of this distribution restricted to ``window``.
+
+        Nothing in the package calls it; it serves ``tests/test_dist.py``:
+        ``TestTruncation`` and ``TestSampling.test_beta_ks_against_truncated_cdf``.
+        """
         mass_lo = self.cdf(window.lo) if math.isfinite(window.lo) else 0.0
         mass_hi = self.cdf(window.hi) if math.isfinite(window.hi) else 1.0
         mass = mass_hi - mass_lo

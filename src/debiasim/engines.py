@@ -52,7 +52,6 @@ from .metrics import (
 from .policy import (
     FairnessConstraint,
     GroupId,
-    GroupPolicy,
     PairKey,
     PopulationSpec,
     lower_bound,
@@ -333,16 +332,22 @@ class Engine:
     """One seeded online run: admission, batch collection, estimate updates.
 
     The engine consumes one block of arrivals round by round. A round ends
-    when every in-scope (group, label) buffer has collected ``batch_gate``
-    new samples; the estimates, thresholds and exploration bounds are then
+    when every (group, label) buffer has collected ``batch_gate`` new
+    samples; the estimates, thresholds and exploration bounds are then
     re-solved and one trace row is emitted. Running out of arrivals before
     the gate closes terminates the run cleanly, discarding the partial batch.
 
-    Arrivals are decided in windows. A window never spans a change of a
-    group's eps, so each group's policy is one (theta, LB, eps) throughout.
-    The run's uniforms are drawn at once: ``rng.random(n)`` gives the same
-    numbers as n single draws, and an arrival takes the next one only when
-    the scalar rule would draw, so every trace matches one arrival at a time.
+    Each group's state is one element of a per-field array (``theta``,
+    ``lb``, ``ub``, ``eps``, ``cum_explore_err``, the adaptive monitor) at
+    the group's index in ``groups``; pair (g, y) is ``pairs[2 * index + y]``.
+    Arrivals are decided in windows. A group's eps can change only at those
+    of its arrivals whose count within the group is a multiple of the
+    schedule's window; a window steps eps if it starts at one and ends
+    before the next, so each group's policy is one (theta, LB, eps)
+    throughout. The run's uniforms are drawn at once: ``rng.random(n)``
+    gives the same numbers as n single draws, and an arrival takes the next
+    one only when the scalar rule would draw, so every trace matches one
+    arrival at a time.
     """
 
     def __init__(
@@ -360,6 +365,11 @@ class Engine:
         seed: int = 0,
     ):
         self.spec = spec = ENGINE_SPECS[kind]
+        self.groups: Tuple[GroupId, ...] = tuple(sorted({g for g, _ in estimates}))
+        self.pairs: List[PairKey] = [(g, y) for g in self.groups for y in (0, 1)]
+        missing = [k for k in self.pairs if k not in estimates]
+        if missing:
+            raise DomainError(f"every group needs estimates for both labels; missing pairs {missing}")
         if spec.two_param:
             bad = [k for k, e in estimates.items()
                    if e.family is not Family.GAUSSIAN or e.ref_level != 50.0]
@@ -381,10 +391,14 @@ class Engine:
         self._drop_label0_above = spec.two_param or (
             spec.bounded and update_mode is UpdateMode.WINDOW_MEDIAN
         )
-        self.pairs: List[PairKey] = sorted(self.estimates)
-        self.groups: Tuple[GroupId, ...] = tuple(sorted({g for g, _ in self.pairs}))
 
-        self.policy = self._solve_policy({g: schedule.eps0 for g in self.groups})
+        n_groups = len(self.groups)
+        self.theta = np.empty(n_groups)
+        self.lb = np.empty(n_groups)
+        self.ub = np.full(n_groups, np.nan)
+        self._err_prob = np.zeros(n_groups)
+        self._solve_policy()
+        self.eps = np.full(n_groups, schedule.eps0)
 
         self.oracle: Optional[OracleBaseline] = None
         self._weighted_ok = False
@@ -409,23 +423,20 @@ class Engine:
             }
 
         self.samples_seen = 0
-        self.group_samples: Dict[GroupId, int] = {g: 0 for g in self.groups}
         self.updates = 0
         self.cum_fp = 0
         self.cum_fn = 0
         self.cum_regret = 0.0
         self.cum_weighted_regret = 0.0 if self._weighted_ok else float("nan")
-        self.cum_explore_err: Dict[GroupId, float] = {g: 0.0 for g in self.groups}
-        self._monitor = {g: {"start": 0, "obs": 0, "exp": 0.0} for g in self.groups}
+        self.cum_explore_err = np.zeros(n_groups)
+        # The adaptive monitor: label-0 admits at or above theta, and their
+        # expected number, since the group's eps last stepped.
+        self._mon_obs = np.zeros(n_groups, dtype=np.int64)
+        self._mon_exp = np.zeros(n_groups)
 
         self.buffers: Dict[PairKey, BatchBuffer] = {
             key: BatchBuffer(size_gate=self.batch_gate) for key in self.pairs
         }
-        # Pair code 2 * group index + label -> index into self.pairs.
-        self._slot = np.full(2 * len(self.groups), -1, dtype=np.intp)
-        for slot, (g, y) in enumerate(self.pairs):
-            self._slot[2 * self.groups.index(g) + y] = slot
-
         self.trace = RunTrace(self.groups, self.pairs, seed=seed, config_hash=config_hash,
                               two_param=spec.two_param)
         self._true_refs: Dict[PairKey, Optional[float]] = {}
@@ -436,85 +447,80 @@ class Engine:
             else:
                 self._true_refs[key] = None
 
-    def _solve_policy(self, eps: Mapping[GroupId, float]) -> Dict[GroupId, GroupPolicy]:
+    def _solve_policy(self) -> None:
+        """Solve the thresholds jointly, then each group's LB, UB and, under
+        the adaptive schedule, the chance that an admit at or above theta
+        has label 0."""
         thetas = solve_thresholds(self.estimates, self.fractions, self.constraint)
-        policy: Dict[GroupId, GroupPolicy] = {}
-        for g in self.groups:
+        adaptive = self.schedule.mode is ScheduleMode.ADAPTIVE
+        for i, g in enumerate(self.groups):
             theta = thetas[g]
             if self.spec.bounded:
                 lb = lower_bound(self.estimates[(g, 0)], theta)
             else:
                 lb = _NEG_INF if self.spec.explore else theta
-            ub = upper_bound(self.estimates[(g, 1)], lb) if self.spec.two_param else None
-            policy[g] = GroupPolicy(theta=theta, lb=lb, eps=eps[g], ub=ub)
-        return policy
+            self.theta[i], self.lb[i] = theta, lb
+            if self.spec.two_param:
+                self.ub[i] = upper_bound(self.estimates[(g, 1)], lb)
+            if adaptive:
+                p0, p1 = (self.fractions.get((g, y), 0.0)
+                          * (1.0 - float(self.estimates[(g, y)].cdf(theta))) for y in (0, 1))
+                self._err_prob[i] = 0.0 if p0 + p1 <= 0.0 else p0 / (p0 + p1)
 
     # -- bookkeeping -----------------------------------------------------
 
     def _emit_row(self) -> None:
+        def by_group(values: np.ndarray) -> Dict[GroupId, float]:
+            return dict(zip(self.groups, values.tolist()))
+
         two_param = self.spec.two_param
         row = TraceRow(
             t=self.updates,
             samples_seen=self.samples_seen,
-            theta={g: self.policy[g].theta for g in self.groups},
-            lb={g: self.policy[g].lb for g in self.groups},
-            eps={g: self.policy[g].eps for g in self.groups},
+            theta=by_group(self.theta),
+            lb=by_group(self.lb),
+            eps=by_group(self.eps),
             omega_hat={k: self.estimates[k].ref_value for k in self.pairs},
             omega_true=dict(self._true_refs),
             cum_fp=self.cum_fp,
             cum_fn=self.cum_fn,
             cum_regret=self.cum_regret,
             cum_weighted_regret=self.cum_weighted_regret,
-            cum_exploration_error=dict(self.cum_explore_err),
-            ub={g: self.policy[g].ub for g in self.groups} if two_param else None,
+            cum_exploration_error=by_group(self.cum_explore_err),
+            ub=by_group(self.ub) if two_param else None,
             sigma_hat={k: self.two_param[k].sigma_hat for k in self.pairs}
             if two_param else None,
         )
         self.trace.append(row)
 
-    def _expected_error_prob(self, g: GroupId) -> float:
-        # Constant within a round: theta and the estimates change only at its
-        # end, when _start_round clears the cache.
-        if g not in self._error_prob:
-            theta = self.policy[g].theta
-            p0 = self.fractions.get((g, 0), 0.0) * (1.0 - float(self.estimates[(g, 0)].cdf(theta)))
-            p1 = self.fractions.get((g, 1), 0.0) * (1.0 - float(self.estimates[(g, 1)].cdf(theta)))
-            self._error_prob[g] = 0.0 if p0 + p1 <= 0.0 else p0 / (p0 + p1)
-        return self._error_prob[g]
-
     # -- round machinery ---------------------------------------------------
 
-    def _start_round(self) -> Dict[GroupId, Dict[str, int]]:
+    def _start_round(self) -> None:
         bounded = self.spec.bounded
-        for key in self.pairs:
-            update_lb = self.policy[key[0]].lb if bounded else _NEG_INF
+        lbs = self.lb.tolist()
+        for k, key in enumerate(self.pairs):
+            update_lb = lbs[k // 2] if bounded else _NEG_INF
             self.buffers[key].start_round(update_lb, keep_samples=not bounded)
-        policy = [self.policy[g] for g in self.groups]
-        self._theta_g = np.array([gp.theta for gp in policy])
-        self._lb_g = np.array([gp.lb for gp in policy])
-        if self.spec.two_param:
-            self._ub_g = np.array([gp.ub for gp in policy])
-        self._error_prob: Dict[GroupId, float] = {}
-        return {g: {"n0": 0, "n1": 0, "eps": self.policy[g].eps} for g in self.groups}
+        self._below = np.zeros(len(self.pairs), dtype=np.int64)
+        self._round_eps = self.eps.copy()
 
-    def _apply_updates(self, round_counts: Dict[GroupId, Dict[str, int]]) -> None:
+    def _apply_updates(self) -> None:
+        theta, lb, ub = self.theta.tolist(), self.lb.tolist(), self.ub.tolist()
+        eps, below = self._round_eps.tolist(), self._below.tolist()
         # Exploration-error term uses the round's estimates/policy, pre-update.
-        for g in self.groups:
-            gp = self.policy[g]
-            counts = round_counts[g]
-            self.cum_explore_err[g] += exploration_error(
+        for i, g in enumerate(self.groups):
+            self.cum_explore_err[i] += exploration_error(
                 self.estimates[(g, 0)], self.estimates[(g, 1)],
-                gp.theta, gp.lb, counts["eps"], counts["n0"], counts["n1"],
+                theta[i], lb[i], eps[i], below[2 * i], below[2 * i + 1],
             )
 
-        for key in self.pairs:
+        for k, key in enumerate(self.pairs):
             if self.spec.two_param:
-                g, y = key
-                gp = self.policy[g]
+                i, y = divmod(k, 2)
                 state = self.two_param[key]
-                hi = gp.theta if y == 0 else gp.ub
+                hi = theta[i] if y == 0 else ub[i]
                 try:
-                    state.sigma_hat = recover_sigma(state.variance, state.mean, gp.lb, hi)
+                    state.sigma_hat = recover_sigma(state.variance, state.mean, lb[i], hi)
                 except (NoSolutionError, DomainError):
                     log.warning("sigma recovery failed for %s; keeping previous value", key)
                 self.estimates[key] = gaussian(state.mean, state.sigma_hat)
@@ -524,7 +530,7 @@ class Engine:
                 self.estimates[key] = self.estimates[key].with_ref_value(new_ref)
 
         self.updates += 1
-        self.policy = self._solve_policy({g: gp.eps for g, gp in self.policy.items()})
+        self._solve_policy()
 
     def run(self, arrivals: ArrivalBlock, horizon: int) -> RunTrace:
         """Decide the block's first ``horizon`` arrivals, updating whenever the gate closes.
@@ -544,17 +550,24 @@ class Engine:
         n = min(horizon, len(arrivals.xs))
         remap = np.array([index[g] for g in arrivals.groups], dtype=np.intp)
         xs, ys, gi = arrivals.xs[:n], arrivals.ys[:n], remap[arrivals.gcodes[:n]]
+        # Each arrival's count within its group, from 1; eps steps only where
+        # that count is a multiple of the schedule's window.
+        self._count = np.empty(n, dtype=np.intp)
+        for i in range(len(self.groups)):
+            at = np.flatnonzero(gi == i)
+            self._count[at] = np.arange(1, len(at) + 1)
+        self._steps = np.flatnonzero(self._count % self.schedule.window == 0)
         self._uniforms = self.rng.random(n)
         self._upos = 0
         self._emit_row()
         size = 2 * len(self.pairs) * self.batch_gate
         while self.samples_seen < n:
             start = self.samples_seen
-            round_counts = self._start_round()
+            self._start_round()
             closed = False
             while not closed and self.samples_seen < n:
                 window = slice(self.samples_seen, self.samples_seen + size)
-                used, closed = self._window(xs[window], ys[window], gi[window], round_counts)
+                used, closed = self._window(xs[window], ys[window], gi[window])
                 if used == size:
                     size *= 2
             if not closed:
@@ -563,130 +576,90 @@ class Engine:
                 if self.samples_seen > self.trace.final.samples_seen:
                     self._emit_row()
                 break
-            self._apply_updates(round_counts)
+            self._apply_updates()
             self._emit_row()
             size = 2 * (self.samples_seen - start)
         return self.trace
 
-    def _eps_plan(self) -> Tuple[List[float], List[Tuple[int, int]], List[bool]]:
-        """Each group's eps for the next window; for the groups whose eps can
-        change, (group index, arrivals of the group before the change); and
-        whether each group's next arrival ends an adaptive monitor window,
-        which sets its eps for the window."""
-        sched = self.schedule
-        width = sched.window
-        eps: List[float] = []
-        limits: List[Tuple[int, int]] = []
-        triggers: List[bool] = []
-        for gi, g in enumerate(self.groups):
-            nxt = self.group_samples[g] + 1  # the group's count at its next arrival
-            trigger = False
-            if sched.mode is ScheduleMode.FIXED_STEP:
-                eps.append(advance_epsilon(sched, nxt))
-                # Once floored, eps never changes again.
-                if eps[-1] > sched.eps_min:
-                    limits.append((gi, (nxt // width + 1) * width - nxt))
-            else:
-                mon = self._monitor[g]
-                trigger = nxt - mon["start"] >= width
-                if trigger:
-                    eps.append(advance_epsilon(sched, nxt, observed_err=mon["obs"],
-                                               expected_err=mon["exp"]))
-                    limits.append((gi, width))
-                else:
-                    eps.append(self.policy[g].eps)
-                    limits.append((gi, mon["start"] + width - nxt))
-            triggers.append(trigger)
-        return eps, limits, triggers
-
-    def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray,
-                round_counts: Dict[GroupId, Dict[str, int]]) -> Tuple[int, bool]:
+    def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray) -> Tuple[int, bool]:
         """Decide a window of arrivals and commit it up to the arrival that
-        closes the gate, or whole. The window is first cut before the first
-        arrival at which a group's eps can change. Returns (arrivals
-        committed, gate closed)."""
-        eps, limits, triggers = self._eps_plan()
+        closes the gate, or whole. A window that starts at an eps step of its
+        first arrival's group takes that step (and restarts the group's
+        monitor) first; it is cut before the next step of any group. Returns
+        (arrivals committed, gate closed)."""
+        start = self.samples_seen
+        j = int(np.searchsorted(self._steps, start))
+        if j < len(self._steps) and self._steps[j] == start:
+            g = int(gi[0])
+            self.eps[g] = advance_epsilon(self.schedule, int(self._count[start]),
+                                          int(self._mon_obs[g]), float(self._mon_exp[g]))
+            self._mon_obs[g], self._mon_exp[g] = 0, 0.0
+            j += 1
         n = len(xs)
-        for g, limit in limits:
-            if limit < n:
-                pos = np.flatnonzero(gi[:n] == g)
-                if len(pos) > limit:
-                    n = int(pos[limit])
+        if j < len(self._steps):
+            n = min(n, int(self._steps[j]) - start)
         xs, ys, gi = xs[:n], ys[:n], gi[:n]
 
-        theta = self._theta_g[gi]
+        theta = self.theta[gi]
         fresh = self._uniforms[self._upos:]
         draws, accepted, retained = admission_masks(
-            self.spec, xs, theta, self._lb_g[gi], np.array(eps)[gi], lambda k: fresh[:k])
+            self.spec, xs, theta, self.lb[gi], self.eps[gi], lambda k: fresh[:k])
         above = xs >= theta
         kept = retained
         if self._drop_label0_above:
             kept = kept & ~(above & (ys == 0))
         if self.spec.two_param:
-            kept = kept & ~((ys == 1) & (xs > self._ub_g[gi]))
+            kept = kept & ~((ys == 1) & (xs > self.ub[gi]))
         kpos = np.flatnonzero(kept)
-        kslot = self._slot[2 * gi[kpos] + ys[kpos]]
+        kpair = 2 * gi[kpos] + ys[kpos]
 
-        close = self._gate_close(kpos, kslot)
+        close = self._gate_close(kpos, kpair)
         m = n if close is None else close
         if m < n:
             xs, ys, gi, theta, draws, accepted, above = (
                 a[:m] for a in (xs, ys, gi, theta, draws, accepted, above))
             cut = int(np.searchsorted(kpos, m))
-            kpos, kslot = kpos[:cut], kslot[:cut]
+            kpos, kpair = kpos[:cut], kpair[:cut]
         self._upos += int(np.count_nonzero(draws))
-        self._commit(xs, ys, gi, theta, accepted, above, kpos, kslot,
-                     eps, triggers, round_counts)
+        self._commit(xs, ys, gi, theta, accepted, above, kpos, kpair)
         return m, close is not None
 
-    def _gate_close(self, kpos: np.ndarray, kslot: np.ndarray) -> Optional[int]:
+    def _gate_close(self, kpos: np.ndarray, kpair: np.ndarray) -> Optional[int]:
         """How many arrivals of the window close the gate: up to the one that
         fills the last pair's batch. None if a batch stays short."""
         close = 0
-        for slot, key in enumerate(self.pairs):
+        for k, key in enumerate(self.pairs):
             need = self.batch_gate - self.buffers[key].new_count
             if need > 0:
-                hits = kpos[kslot == slot]
+                hits = kpos[kpair == k]
                 if len(hits) < need:
                     return None
                 close = max(close, int(hits[need - 1]) + 1)
         return close
 
-    def _commit(self, xs, ys, gi, theta, accepted, above, kpos, kslot,
-                eps, triggers, round_counts) -> None:
-        """Book the decided arrivals: counts, eps state, regret and batches.
+    def _commit(self, xs, ys, gi, theta, accepted, above, kpos, kpair) -> None:
+        """Book the decided arrivals: counts, monitor, regret and batches.
 
         Every float that is not integer-valued is summed in arrival order."""
-        n_groups = len(self.groups)
+        n_pairs = len(self.pairs)
         self.samples_seen += len(xs)
-        arrived = np.bincount(gi, minlength=n_groups).tolist()
-        for i, g in enumerate(self.groups):
-            if arrived[i]:
-                if triggers[i]:
-                    self._monitor[g] = {"start": self.group_samples[g] + 1, "obs": 0, "exp": 0.0}
-                self.group_samples[g] += arrived[i]
-                self.policy[g].eps = eps[i]
-
         label0, label1 = ys == 0, ys == 1
         self.cum_fp += int(np.count_nonzero(accepted & label0))
         self.cum_fn += int(np.count_nonzero(~accepted & label1))
         pair = 2 * gi + ys
-        below = np.bincount(pair[xs < theta], minlength=2 * n_groups).tolist()
-        for i, g in enumerate(self.groups):
-            round_counts[g]["n0"] += below[2 * i]
-            round_counts[g]["n1"] += below[2 * i + 1]
+        self._below += np.bincount(pair[xs < theta], minlength=n_pairs)
 
         if self.schedule.mode is ScheduleMode.ADAPTIVE:
-            # Every arrival at or above theta is admitted and counted.
-            admits = np.bincount(pair[above], minlength=2 * n_groups).tolist()
-            for i, g in enumerate(self.groups):
-                count = admits[2 * i] + admits[2 * i + 1]
-                if count:
-                    mon = self._monitor[g]
-                    mon["obs"] += admits[2 * i]
-                    terms = np.full(count + 1, self._expected_error_prob(g))
-                    terms[0] = mon["exp"]
-                    mon["exp"] = float(np.cumsum(terms)[-1])
+            # Every arrival at or above theta is admitted and counted. Each
+            # group's row holds its running total, then one term per admit,
+            # then zeros, which leave the sum unchanged.
+            admits = np.bincount(pair[above], minlength=n_pairs)
+            self._mon_obs += admits[0::2]
+            count = admits[0::2] + admits[1::2]
+            terms = np.where(np.arange(count.max() + 1) <= count[:, None],
+                             self._err_prob[:, None], 0.0)
+            terms[:, 0] = self._mon_exp
+            self._mon_exp = np.cumsum(terms, axis=1)[:, -1]
 
         if self.oracle is not None:
             diff = regret_increment(accepted, xs >= self._oracle_g[gi], ys)
@@ -701,8 +674,8 @@ class Engine:
                         total += d * error_weight(x, y, *self._truth_pair[g])
                     self.cum_weighted_regret = total
 
-        for slot, key in enumerate(self.pairs):
-            batch = xs[kpos[kslot == slot]].tolist()
+        for k, key in enumerate(self.pairs):
+            batch = xs[kpos[kpair == k]].tolist()
             if batch:
                 self.buffers[key].extend(batch)
                 if self.spec.two_param:

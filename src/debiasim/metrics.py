@@ -147,7 +147,12 @@ class RunTrace:
         return self.rows[-1]
 
     def row_at_samples(self, samples: int) -> TraceRow:
-        """Last row emitted at or before the given arrival count."""
+        """Last row emitted at or before the given arrival count.
+
+        Nothing in the package calls it; it serves
+        ``tests/test_acceptance.py::test_criterion_9_fairness_interplay`` and
+        ``tests/test_metrics.py``.
+        """
         chosen = self.rows[0]
         for row in self.rows:
             if row.samples_seen <= samples:

@@ -98,6 +98,8 @@ def drift_oracle(
     """
     if replications < 2:
         raise DomainError(f"need at least 2 replications, got {replications}")
+    if batch_size < 1:
+        raise DomainError(f"batch size must be >= 1, got {batch_size}")
     hi = theta if mode is UpdateMode.WINDOW_MEDIAN else math.inf
     window = TruncationWindow(lb, hi)
     old_ref = est.ref_value

@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Optional, Tuple
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -69,16 +69,6 @@ class PopulationSpec:
     @property
     def groups(self) -> Tuple[GroupId, ...]:
         return tuple(sorted({g for g, _ in self.fractions}))
-
-
-@dataclass
-class GroupPolicy:
-    """Admission state for one group: threshold, exploration bounds, frequency."""
-
-    theta: float
-    lb: float
-    eps: float
-    ub: Optional[float] = None
 
 
 def expected_loss(

@@ -6,15 +6,25 @@ counted, and retained before the gate is checked again. The block kernel of
 ``debiasim.engines.Engine`` must write byte-identical traces;
 ``tests/test_kernel_equivalence.py`` holds it to that. The code below is
 the per-arrival loop as it stood in ``src/`` before the kernel replaced it,
-with three edits: ``run`` flattens the run's block of arrivals into
-``AgentRecord``s, ``BatchBuffer.extend([x])`` stands for the removed
-``BatchBuffer.add(x)``, and ``x >= thresholds[g]`` for the removed
-``OracleBaseline.accept(x, g)``.
+with these edits:
+
+* ``run`` flattens the run's block of arrivals into ``AgentRecord``s;
+* ``BatchBuffer.extend([x])`` stands for the removed ``BatchBuffer.add(x)``,
+  and ``x >= thresholds[g]`` for the removed ``OracleBaseline.accept(x, g)``;
+* the engine keeps each group's state in arrays, so ``GroupPolicy`` is the
+  local NamedTuple below, built per arrival from ``Engine.theta``, ``lb``,
+  ``ub`` and ``eps``; eps is written back to ``Engine.eps``, the round's
+  below-threshold counts go to ``Engine._below`` by pair code
+  (2 * group index + label), and the monitor adds ``Engine._err_prob``;
+* the per-arrival counters ``group_samples`` and ``_monitor`` and the eps
+  rule ``_advance_eps`` are kept here. The kernel steps eps only at
+  precomputed arrival counts; this loop re-derives each step one arrival
+  at a time, so the equivalence test checks those positions.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -27,8 +37,17 @@ from debiasim.engines import (
 )
 from debiasim.errors import DomainError
 from debiasim.metrics import RunTrace, error_weight, regret_increment
-from debiasim.policy import GroupId, GroupPolicy, PairKey
+from debiasim.policy import GroupId, PairKey
 from debiasim.stream import AgentRecord, ArrivalBlock
+
+
+class GroupPolicy(NamedTuple):
+    """Admission state for one group: threshold, exploration bounds, frequency."""
+
+    theta: float
+    lb: float
+    eps: float
+    ub: Optional[float] = None
 
 
 def records(block: ArrivalBlock) -> Iterator[AgentRecord]:
@@ -73,15 +92,19 @@ def decide(
 class ReferenceEngine(Engine):
     """``Engine`` with the per-arrival loop in place of the block kernel."""
 
-    def _advance_eps(self, g: GroupId) -> None:
+    def _policy(self, i: int) -> GroupPolicy:
+        ub = float(self.ub[i]) if self.spec.two_param else None
+        return GroupPolicy(float(self.theta[i]), float(self.lb[i]), float(self.eps[i]), ub)
+
+    def _advance_eps(self, g: GroupId, i: int) -> None:
         seen = self.group_samples[g]
         if self.schedule.mode is ScheduleMode.FIXED_STEP:
-            self.policy[g].eps = advance_epsilon(self.schedule, seen)
+            self.eps[i] = advance_epsilon(self.schedule, seen)
             return
         mon = self._monitor[g]
         if seen - mon["start"] >= self.schedule.window:
-            self.policy[g].eps = advance_epsilon(self.schedule, seen, observed_err=mon["obs"],
-                                                 expected_err=mon["exp"])
+            self.eps[i] = advance_epsilon(self.schedule, seen, observed_err=mon["obs"],
+                                          expected_err=mon["exp"])
             mon["start"], mon["obs"], mon["exp"] = seen, 0, 0.0
 
     def _retain_in_buffer(self, key: PairKey, x: float, gp: GroupPolicy) -> None:
@@ -101,22 +124,24 @@ class ReferenceEngine(Engine):
         """Consume up to ``horizon`` arrivals, updating whenever the gate closes."""
         if horizon < 4 * self.batch_gate:
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
+        self.group_samples = {g: 0 for g in self.groups}
+        self._monitor = {g: {"start": 0, "obs": 0, "exp": 0.0} for g in self.groups}
         it = records(arrivals)
         self._emit_row()
         exhausted = False
         while self.samples_seen < horizon and not exhausted:
-            round_counts = self._start_round()
+            self._start_round()
             while self.samples_seen < horizon:
                 try:
                     agent = next(it)
                 except StopIteration:
                     exhausted = True
                     break
-                self._step_agent(agent, round_counts)
+                self._step_agent(agent)
                 if self._gate_met():
                     break
             if self._gate_met():
-                self._apply_updates(round_counts)
+                self._apply_updates()
                 self._emit_row()
             else:
                 # Partial batch at horizon or stream end: metrics counted,
@@ -126,12 +151,13 @@ class ReferenceEngine(Engine):
                 break
         return self.trace
 
-    def _step_agent(self, agent: AgentRecord, round_counts) -> None:
+    def _step_agent(self, agent: AgentRecord) -> None:
         x, y, g = agent
-        gp = self.policy[g]
+        i = self.groups.index(g)
         self.samples_seen += 1
         self.group_samples[g] += 1
-        self._advance_eps(g)
+        self._advance_eps(g, i)
+        gp = self._policy(i)
 
         accepted, retained = decide(self.spec, gp, x, self.rng)
 
@@ -142,16 +168,12 @@ class ReferenceEngine(Engine):
             self.cum_fn += 1
 
         if x < gp.theta:
-            counts = round_counts[g]
-            if y == 0:
-                counts["n0"] += 1
-            else:
-                counts["n1"] += 1
+            self._below[2 * i + y] += 1
 
         if accepted and x >= gp.theta and self.schedule.mode is ScheduleMode.ADAPTIVE:
             mon = self._monitor[g]
             mon["obs"] += int(y == 0)
-            mon["exp"] += self._expected_error_prob(g)
+            mon["exp"] += float(self._err_prob[i])
 
         if self.oracle is not None:
             diff = regret_increment(accepted, x >= self.oracle.thresholds[g], y)

@@ -12,7 +12,7 @@ import operator
 import pytest
 
 import debiasim
-from debiasim import runner, stream
+from debiasim import engines, runner, stream
 from test_cli import base_dict
 
 # Read directly; a missing one crashes the benchmark.
@@ -54,3 +54,25 @@ def test_run_single_builds_engine_through_runner(monkeypatch):
     monkeypatch.setattr(runner, "Engine", build)
     with pytest.raises(Built):
         debiasim.run_single(debiasim.config_from_dict(base_dict()), 0)
+
+
+def test_solver_wrappers_count_per_update(monkeypatch):
+    # The tracer reads solves and bounds from the engines-module names: one
+    # threshold solve at set-up and one per update, one lower bound per
+    # group per solve on a bounded engine.
+    calls = {"solve_thresholds": 0, "lower_bound": 0}
+    for name in calls:
+        def counted(*args, _f=getattr(engines, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+        monkeypatch.setattr(engines, name, counted)
+    raw = base_dict(horizon=3000, fractions={"a": {"0": 0.25, "1": 0.25},
+                                             "b": {"0": 0.25, "1": 0.25}})
+    for key in ("initial_estimates", "population"):
+        raw[key]["b"] = raw[key]["a"]
+    config = debiasim.config_from_dict(raw)
+    assert config.engine is engines.EngineKind.ACTIVE_DEBIASING
+    trace = debiasim.run_single(config, 0)
+    assert trace.final.t > 0
+    assert calls == {"solve_thresholds": trace.final.t + 1,
+                     "lower_bound": 2 * (trace.final.t + 1)}

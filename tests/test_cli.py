@@ -34,6 +34,13 @@ def base_dict(**over):
     return d
 
 
+def _estimates_with(**leaf0):
+    """``base_dict``'s initial estimates with group a's label-0 leaf changed."""
+    estimates = base_dict()["initial_estimates"]
+    estimates["a"]["0"] = {**estimates["a"]["0"], **leaf0}
+    return estimates
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = config_from_dict(base_dict())
@@ -117,12 +124,33 @@ class TestConfig:
         ({"source": ["synthetic"]}, "config.source"),
         ({"source": {"kind": "csv_replay", "path": "x.csv", "columns": [1, 2]}},
          "config.source.columns"),
+        ({"source": {"kind": "synthetic", "shuffle": "no"}}, "config.source.shuffle"),
+        ({"epsilon": {"window": 2.5}}, "config.epsilon.window"),
+        ({"epsilon": {"window": True}}, "config.epsilon.window"),
+        ({"epsilon": {"window": "7"}}, "config.epsilon.window"),
+        ({"initial_estimates": _estimates_with(unknown_index=0.9)},
+         "config.initial_estimates.a.0.unknown_index"),
+        ({"initial_estimates": _estimates_with(unknown_index=True)},
+         "config.initial_estimates.a.0.unknown_index"),
+        ({"initial_estimates": _estimates_with(ref_level="abc")},
+         "config.initial_estimates.a.0.ref_level"),
+        ({"initial_estimates": _estimates_with(family="beta", params=[2, 3],
+                                               support=["a", "b"])},
+         "config.initial_estimates.a.0.support"),
+        ({"initial_estimates": {"a": {"0": 5, "1": base_dict()["initial_estimates"]["a"]["1"]}}},
+         "config.initial_estimates.a.0"),
     ], ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_malformed_field_named(self, over, field):
         # Each raised a bare ValueError/TypeError/AttributeError, or (the
-        # floats and the bool seed) was accepted, before.
+        # floats, the bools, the string window and the string shuffle) was
+        # accepted, before.
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
             config_from_dict(base_dict(**over))
+
+    def test_epsilon_must_be_a_mapping(self):
+        # Reported "'list' object has no attribute 'get'" before.
+        with pytest.raises(ConfigError, match=r"^config\.epsilon: expected a mapping"):
+            config_from_dict(base_dict(epsilon=[1]))
 
     @pytest.mark.parametrize("preset", sorted(PRESET_DIR.glob("*.json")),
                              ids=lambda p: p.stem)
@@ -304,6 +332,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(data) in err and "'nope'" in err
         assert not (tmp_path / "s.csv").exists()
+
+    @pytest.mark.parametrize("text, row", [
+        ("x,y\n0.5,1\nabc,1\n", "row 2"),
+        ("y,x\n1,0.5\n1\n", "row 2"),
+    ], ids=["bad cell", "short row"])
+    def test_fitdist_bad_score_named(self, text, row, tmp_path, capsys):
+        # Died with a bare ValueError / TypeError before.
+        scores = tmp_path / "scores.csv"
+        scores.write_text(text)
+        code = main(["fitdist", "--scores", str(scores), "--family", "beta", "--known", "3"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(scores) in err and row in err
+
+    @pytest.mark.parametrize("argv, spec, field", [
+        (["median-density", "--params", "a,1", "--window", "5,8", "--m", "1"], None,
+         "--params"),
+        (["drift", "--true-params", "7,1", "--est-params", "6,1", "--theta", "8",
+          "--batch", "0"], None, "batch size"),
+        (["threshold"], "{not json", "invalid JSON"),
+        (["threshold"], json.dumps({"fractions": {"a": {"0": 0.5, "1": 0.5}}}),
+         "spec.estimates"),
+        (["threshold"], json.dumps({
+            "estimates": {"a": {"0": {"family": "gaussian", "params": [7, 1]},
+                                "1": {"family": "gaussian", "params": [10, 1]}}},
+            "fractions": {"a": {"0": 0.5, "1": 0.5}},
+            "fairness": {"kind": "bogus"}}), "spec.fairness.kind"),
+    ], ids=["params a,1", "drift batch 0", "spec not json", "spec no estimates",
+            "spec bogus fairness"])
+    def test_oracle_bad_input_exit_code(self, argv, spec, field, tmp_path, capsys):
+        # Each died with a traceback before.
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(spec)
+            argv = argv + ["--spec", str(path)]
+        code = main(["oracle"] + argv)
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
 
     def test_oracle_median_density_m0(self, capsys):
         code = main(["oracle", "median-density", "--family", "gaussian",

@@ -29,9 +29,10 @@ from debiasim.errors import (
     InsufficientBatchError,
     NoSolutionError,
 )
-from debiasim.policy import FairnessConstraint, GroupPolicy
+from debiasim.policy import FairnessConstraint
 from debiasim.runner import run_single
 from debiasim.stream import ArrivalBlock, SyntheticStream
+from reference_loop import GroupPolicy, decide
 
 
 ACTIVE = ENGINE_SPECS[EngineKind.ACTIVE_DEBIASING]
@@ -114,7 +115,6 @@ class TestDecide:
     def test_matches_scalar_rule(self, spec):
         # Per-arrival policies and a shared uniform stream: the masks equal
         # the scalar rule applied one arrival at a time.
-        from reference_loop import decide
         rng = np.random.default_rng(9)
         n = 2000
         theta = rng.uniform(7.0, 9.0, size=n)
@@ -382,6 +382,20 @@ class TestEngineRuns:
                 estimates={("a", 0): gaussian(5, 1.3, ref_level=60),
                            ("a", 1): gaussian(13, 1.3)},
                 fractions={("a", 0): 0.5, ("a", 1): 0.5},
+                constraint=FairnessConstraint(),
+                schedule=ExplorationSchedule(),
+                batch_gate=50,
+                rng=np.random.default_rng(0),
+            )
+
+    def test_group_missing_label_refused(self):
+        # Died with a bare KeyError(('b', 0)) inside the threshold solve before.
+        with pytest.raises(DomainError, match=r"\('b', 0\)"):
+            Engine(
+                kind=EngineKind.ACTIVE_DEBIASING,
+                estimates={("a", 0): gaussian(6, 1, ref_level=60), ("a", 1): gaussian(9, 1),
+                           ("b", 1): gaussian(9, 1)},
+                fractions={("a", 0): 0.4, ("a", 1): 0.4, ("b", 1): 0.2},
                 constraint=FairnessConstraint(),
                 schedule=ExplorationSchedule(),
                 batch_gate=50,
