@@ -25,16 +25,20 @@ from .config import (
 from .dist import Family, ParametricEstimate, TruncationWindow
 from .engines import UpdateMode
 from .errors import ConfigError, DebiasimError
-from .policy import lower_bound, solve_thresholds
+from .policy import lower_bound, require_both_labels, solve_thresholds
 from .runner import run_many
 from .stream import fit_initial_estimate, fit_scorer
 
 
 def _parse_seeds(text: str) -> List[int]:
     try:
-        return [int(s) for s in text.split(",") if s.strip() != ""]
+        seeds = [int(s) for s in text.split(",") if s.strip() != ""]
+        if any(s < 0 for s in seeds):
+            raise ValueError
     except ValueError:
-        raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}") from None
+        raise ConfigError(f"--seeds: expected comma-separated non-negative integers, "
+                          f"got {text!r}") from None
+    return seeds
 
 
 def _parse_pair(text: str, name: str) -> tuple:
@@ -173,6 +177,7 @@ def _cmd_oracle_threshold(args) -> int:
     fractions = _pairs_from_nested(_require(raw, "fractions", "spec"), "spec.fractions",
                                    _number)
     constraint = _fairness_from_dict(raw.get("fairness", {}), "spec.fairness")
+    require_both_labels("spec.estimates", estimates, {g for g, _ in estimates})
     brute, brute_loss = oracle_mod.brute_force_threshold(
         estimates, fractions, constraint, grid_resolution=args.grid)
     solved = solve_thresholds(estimates, fractions, constraint)
@@ -265,10 +270,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except DebiasimError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (DebiasimError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,7 +18,14 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .dist import Family, ParametricEstimate
 from .engines import EngineKind, ExplorationSchedule, ScheduleMode, UpdateMode
 from .errors import ConfigError, DomainError
-from .policy import ConstraintKind, FairnessConstraint, PairKey, PopulationSpec
+from .policy import (
+    ConstraintKind,
+    FairnessConstraint,
+    PairKey,
+    PopulationSpec,
+    require_both_labels,
+)
+from .stream import DEFAULT_COLUMNS
 
 
 def _require(obj: Mapping, key: str, path: str):
@@ -43,6 +50,12 @@ def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
     return float(value)
+
+
+def _optional_str(value, path: str) -> Optional[str]:
+    if value is not None and not isinstance(value, str):
+        raise ConfigError(f"{path}: expected a string, got {value!r}")
+    return value
 
 
 def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
@@ -148,17 +161,13 @@ class RunConfig:
         total = sum(self.fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"fractions: must sum to 1, got {total}")
-        # A round closes only when every (group, label) pair has filled its
-        # batch, so each group needs both labels, present and estimated.
         groups = {g for g, _ in self.fractions} | {g for g, _ in self.initial_estimates}
-        pairs = [(g, y) for g in sorted(groups) for y in (0, 1)]
-        no_mass = [k for k in pairs if not self.fractions.get(k, 0.0) > 0]
-        if no_mass:
-            raise ConfigError(f"fractions: every group needs a positive fraction for both "
-                              f"labels; missing or not positive for pairs {no_mass}")
-        missing = [k for k in pairs if k not in self.initial_estimates]
-        if missing:
-            raise ConfigError(f"initial_estimates: missing pairs {missing}")
+        try:
+            require_both_labels("fractions", {k for k, f in self.fractions.items() if f > 0},
+                                groups)
+            require_both_labels("initial_estimates", self.initial_estimates, groups)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from None
         if self.source.kind == "synthetic" and self.truth is None:
             raise ConfigError("population: required for synthetic sources")
 
@@ -228,11 +237,16 @@ def config_from_dict(raw: Mapping) -> RunConfig:
     shuffle = src_raw.get("shuffle", False)
     if type(shuffle) is not bool:
         raise ConfigError(f"config.source.shuffle: expected true or false, got {shuffle!r}")
+    columns = src_raw.get("columns") or None
+    if columns is not None:
+        columns = dict(_mapping(columns, "config.source.columns"))
+        if not all(k in DEFAULT_COLUMNS and isinstance(v, str) for k, v in columns.items()):
+            raise ConfigError(f"config.source.columns: expected column names for keys "
+                              f"{sorted(DEFAULT_COLUMNS)} only, got {columns!r}")
     source = SourceConfig(
         kind=kind,
-        path=src_raw.get("path"),
-        columns=dict(_mapping(src_raw["columns"], "config.source.columns"))
-        if src_raw.get("columns") else None,
+        path=_optional_str(src_raw.get("path"), "config.source.path"),
+        columns=columns,
         shuffle=shuffle,
     )
 
@@ -273,8 +287,8 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         raise ConfigError(f"config.epsilon: {exc}") from None
 
     seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(type(s) is int for s in seeds):
-        raise ConfigError(f"config.seeds: expected a list of integers, got {seeds!r}")
+    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
+        raise ConfigError(f"config.seeds: expected a list of non-negative integers, got {seeds!r}")
 
     return RunConfig(
         engine=engine,
@@ -288,7 +302,7 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         seeds=tuple(seeds),
         truth=truth,
         update_mode=update_mode,
-        out_dir=raw.get("out_dir"),
+        out_dir=_optional_str(raw.get("out_dir"), "config.out_dir"),
     )
 
 

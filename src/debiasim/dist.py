@@ -24,7 +24,6 @@ from scipy.optimize import brentq
 from .errors import DegenerateWindowError, DomainError, NoSolutionError
 
 _INF = float("inf")
-_SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 
 # Parameter bracket for root finds on Beta shapes.
@@ -130,28 +129,12 @@ class ParametricEstimate:
             out = lo + (hi - lo) * special.betaincinv(a, b, parr)
         return float(out) if np.ndim(out) == 0 else out
 
-    def truncated_cdf(self, window: TruncationWindow, x):
-        """cdf of this distribution restricted to ``window``.
-
-        Nothing in the package calls it; it serves ``tests/test_dist.py``:
-        ``TestTruncation`` and ``TestSampling.test_beta_ks_against_truncated_cdf``.
-        """
-        mass_lo = self.cdf(window.lo) if math.isfinite(window.lo) else 0.0
-        mass_hi = self.cdf(window.hi) if math.isfinite(window.hi) else 1.0
-        mass = mass_hi - mass_lo
-        if mass < 1e-12:
-            raise DegenerateWindowError(
-                f"window [{window.lo}, {window.hi}] carries mass {mass:.3e}"
-            )
-        return np.clip((self.cdf(x) - mass_lo) / mass, 0.0, 1.0)
-
     def sample(self, window: TruncationWindow, rng: np.random.Generator, size=None):
         """Draw from this distribution truncated to ``window``.
 
         Inverse-cdf transform of a uniform draw mapped into [F(lo), F(hi)].
         """
-        mass_lo = self.cdf(window.lo) if math.isfinite(window.lo) else 0.0
-        mass_hi = self.cdf(window.hi) if math.isfinite(window.hi) else 1.0
+        mass_lo, mass_hi = self.cdf(window.lo), self.cdf(window.hi)
         if mass_hi - mass_lo < 1e-12:
             raise DegenerateWindowError(
                 f"window [{window.lo}, {window.hi}] carries mass {mass_hi - mass_lo:.3e}"

@@ -55,6 +55,7 @@ from .policy import (
     PairKey,
     PopulationSpec,
     lower_bound,
+    require_both_labels,
     solve_thresholds,
     upper_bound,
 )
@@ -198,7 +199,7 @@ def portion_left(est: ParametricEstimate, lb: float) -> float:
     With lb = -inf this degenerates to ref_level/100, i.e. the naive
     percentile used by the baselines.
     """
-    f_lb = float(est.cdf(lb)) if math.isfinite(lb) else 0.0
+    f_lb = float(est.cdf(lb))
     ref = min(est.ref_value, est.support[1])
     f_ref = float(est.cdf(ref))
     denom = 1.0 - f_lb
@@ -367,9 +368,7 @@ class Engine:
         self.spec = spec = ENGINE_SPECS[kind]
         self.groups: Tuple[GroupId, ...] = tuple(sorted({g for g, _ in estimates}))
         self.pairs: List[PairKey] = [(g, y) for g in self.groups for y in (0, 1)]
-        missing = [k for k in self.pairs if k not in estimates]
-        if missing:
-            raise DomainError(f"every group needs estimates for both labels; missing pairs {missing}")
+        require_both_labels("estimates", estimates, self.groups)
         if spec.two_param:
             bad = [k for k, e in estimates.items()
                    if e.family is not Family.GAUSSIAN or e.ref_level != 50.0]

@@ -76,7 +76,7 @@ def exploration_error(
     total = 0.0
     for est, n, sign in ((est0, n_below_0, 1.0), (est1, n_below_1, -1.0)):
         f_theta = float(est.cdf(theta))
-        f_lb = float(est.cdf(lb)) if math.isfinite(lb) else 0.0
+        f_lb = float(est.cdf(lb))
         if f_theta <= 0.0:
             log.warning("exploration error: F(theta) = 0; dropping one term")
             continue
@@ -88,13 +88,11 @@ def exploration_error(
 class OracleBaseline:
     """Loss-minimizing thresholds on the true distributions (no exploration)."""
 
-    population: PopulationSpec
     thresholds: Dict[GroupId, float]
 
     @classmethod
     def solve(cls, population: PopulationSpec, constraint: FairnessConstraint) -> "OracleBaseline":
-        thetas = solve_thresholds(population.dists, population.fractions, constraint)
-        return cls(population, thetas)
+        return cls(solve_thresholds(population.dists, population.fractions, constraint))
 
 
 @dataclass
@@ -145,21 +143,6 @@ class RunTrace:
     @property
     def final(self) -> TraceRow:
         return self.rows[-1]
-
-    def row_at_samples(self, samples: int) -> TraceRow:
-        """Last row emitted at or before the given arrival count.
-
-        Nothing in the package calls it; it serves
-        ``tests/test_acceptance.py::test_criterion_9_fairness_interplay`` and
-        ``tests/test_metrics.py``.
-        """
-        chosen = self.rows[0]
-        for row in self.rows:
-            if row.samples_seen <= samples:
-                chosen = row
-            else:
-                break
-        return chosen
 
     def columns(self) -> List[str]:
         cols = ["t", "samples_seen"]

@@ -2,9 +2,8 @@
 
 These deliberately avoid the main implementation paths: the sample-median
 density is an order-statistics formula evaluated in log space, the drift
-oracle is plain Monte Carlo over the engines' update rule, the brute-force
-threshold search is an exhaustive grid, and the high-precision normal/beta
-helpers go through mpmath rather than scipy.
+oracle is plain Monte Carlo over the engines' update rule, and the
+brute-force threshold search is an exhaustive grid.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Mapping, Tuple
 
-import mpmath as mp
 import numpy as np
 from scipy.special import gammaln
 
@@ -21,8 +19,6 @@ from .dist import ParametricEstimate, TruncationWindow
 from .engines import BatchBuffer, UpdateMode, update_reference
 from .errors import DomainError
 from .policy import FairnessConstraint, ConstraintKind, GroupId, PairKey, expected_loss
-
-mp.mp.dps = 50
 
 
 @dataclass(frozen=True)
@@ -51,8 +47,8 @@ def median_density(query: MedianDensityQuery, nu) -> np.ndarray:
     if np.any(nu_arr < lo) or np.any(nu_arr > hi):
         raise DomainError(f"evaluation point outside window [{lo}, {hi}]")
     dist = query.dist
-    mass_lo = float(dist.cdf(lo)) if math.isfinite(lo) else 0.0
-    mass_hi = float(dist.cdf(hi)) if math.isfinite(hi) else 1.0
+    mass_lo = float(dist.cdf(lo))
+    mass_hi = float(dist.cdf(hi))
     mass = mass_hi - mass_lo
     if mass <= 0.0:
         raise DomainError("window carries no probability mass")
@@ -68,14 +64,6 @@ def median_density(query: MedianDensityQuery, nu) -> np.ndarray:
         core = np.where(np.isfinite(core), core, 0.0)
     dens = core * h
     return float(dens) if np.ndim(nu) == 0 else dens
-
-
-def simulate_medians(query: MedianDensityQuery, draws: int,
-                     rng: np.random.Generator) -> np.ndarray:
-    """Monte-Carlo sample medians of 2m+1 truncated draws (for TV checks)."""
-    n = 2 * query.m + 1
-    samples = query.dist.sample(query.window, rng, size=(draws, n))
-    return np.median(samples, axis=1)
 
 
 def drift_oracle(
@@ -153,50 +141,3 @@ def brute_force_threshold(
             best_tau, best_loss = tau, loss
     out = {g: float(estimates[(g, 1)].quantile(1.0 - best_tau)) for g in groups}
     return out, best_loss
-
-
-# -- high-precision references (mpmath route, independent of scipy) ---------
-
-def normal_cdf_ref(z: float) -> float:
-    """Standard normal cdf via mpmath erf at 50 digits."""
-    return float(mp.mpf(1) / 2 * (1 + mp.erf(mp.mpf(z) / mp.sqrt(2))))
-
-
-def normal_pdf_ref(z: float) -> float:
-    return float(mp.exp(-mp.mpf(z) ** 2 / 2) / mp.sqrt(2 * mp.pi))
-
-
-def normal_quantile_ref(p: float, tol: float = 1e-12) -> float:
-    """Invert the mpmath normal cdf by bisection."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = -40.0, 40.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if normal_cdf_ref(mid) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def beta_cdf_ref(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta via mpmath."""
-    if x <= 0.0:
-        return 0.0
-    if x >= 1.0:
-        return 1.0
-    return float(mp.betainc(a, b, 0, x, regularized=True))
-
-
-def beta_quantile_ref(p: float, a: float, b: float, tol: float = 1e-12) -> float:
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"quantile level must be in (0, 1), got {p}")
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if beta_cdf_ref(mid, a, b) < p:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)

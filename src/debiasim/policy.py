@@ -17,7 +17,7 @@ import logging
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, Mapping, Tuple
+from typing import Collection, Dict, Iterable, Mapping, Tuple
 
 import numpy as np
 
@@ -66,9 +66,18 @@ class PopulationSpec:
         if missing:
             raise DomainError(f"missing distributions for pairs {sorted(missing)}")
 
-    @property
-    def groups(self) -> Tuple[GroupId, ...]:
-        return tuple(sorted({g for g, _ in self.fractions}))
+
+def require_both_labels(name: str, pairs: Collection[PairKey],
+                        groups: Iterable[GroupId]) -> None:
+    """Raise ``DomainError`` naming each pair of ``groups`` missing from ``pairs``.
+
+    A round closes only when every (group, label) pair has filled its
+    batch, and a group's loss weighs both of its labels, so every group
+    needs both.
+    """
+    missing = [(g, y) for g in sorted(groups) for y in (0, 1) if (g, y) not in pairs]
+    if missing:
+        raise DomainError(f"{name}: every group needs both labels; missing pairs {missing}")
 
 
 def expected_loss(
@@ -135,24 +144,23 @@ def solve_thresholds(
     exactly by construction.
     """
     groups = tuple(sorted({g for g, _ in estimates}))
-    lo, hi = _search_range(estimates)
-
     kind = constraint.kind
-    if kind is ConstraintKind.UNCONSTRAINED:
+    if kind is not ConstraintKind.EQUAL_OPPORTUNITY:
+        # The groups that share one theta: each group alone, or all together.
+        shared = [groups] if kind is ConstraintKind.SAME_DECISION_RULE else [(g,) for g in groups]
+        lo, hi = _search_range(estimates)
         out: Dict[GroupId, float] = {}
-        for g in groups:
-            def fg(theta: float, g=g) -> float:
-                return expected_loss(estimates, fractions, {g: theta})
+        for members in shared:
+            # Refilled in place: a new dict per evaluation costs up to 5% of a solve.
+            thresholds = dict.fromkeys(members, 0.0)
 
-            out[g] = _grid_then_golden(fg, lo, hi, grid, tol)
+            def f(theta: float, thresholds=thresholds) -> float:
+                for g in thresholds:
+                    thresholds[g] = theta
+                return expected_loss(estimates, fractions, thresholds)
+
+            out.update(dict.fromkeys(members, _grid_then_golden(f, lo, hi, grid, tol)))
         return out
-
-    if kind is ConstraintKind.SAME_DECISION_RULE:
-        def f_all(theta: float) -> float:
-            return expected_loss(estimates, fractions, {g: theta for g in groups})
-
-        theta = _grid_then_golden(f_all, lo, hi, grid, tol)
-        return {g: theta for g in groups}
 
     # Equality of opportunity: search over the shared true-positive rate.
     def thetas_at(tau: float) -> Dict[GroupId, float]:

@@ -14,7 +14,7 @@ import csv
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -148,62 +148,55 @@ def load_replay(path, columns: Optional[Mapping[str, str]] = None) -> ArrivalBlo
     return ArrivalBlock.from_records(read_scored_csv(path, columns))
 
 
+# One design-matrix column: (feature, None) passes a numeric feature
+# through; (feature, level) is 1.0 where the feature equals level, else 0.0.
+Column = Tuple[str, Optional[str]]
+
+
+def _encode(row: Mapping[str, object], column: Column) -> float:
+    name, level = column
+    if level is None:
+        return float(row[name])
+    return 1.0 if str(row[name]) == level else 0.0
+
+
 @dataclass(frozen=True)
 class ScorerModel:
     """Logistic model mapping raw feature rows to a score in (0, 1)."""
 
     weights: Tuple[float, ...]
     intercept: float
-    feature_names: Tuple[str, ...]
+    columns: Tuple[Column, ...]
     means: Tuple[float, ...]
     scales: Tuple[float, ...]
     trained_on: int
 
+    @property
+    def feature_names(self) -> Tuple[str, ...]:
+        """Column names: the feature, or ``feature=level`` for a one-hot column."""
+        return tuple(name if level is None else f"{name}={level}"
+                     for name, level in self.columns)
+
     def score(self, row: Mapping[str, object]) -> float:
         z = self.intercept
-        for name, w, m, s in zip(self.feature_names, self.weights, self.means, self.scales):
-            z += w * ((_encode_value(row, name) - m) / s)
+        for column, w, m, s in zip(self.columns, self.weights, self.means, self.scales):
+            z += w * ((_encode(row, column) - m) / s)
         return 1.0 / (1.0 + math.exp(-z))
 
 
-def _encode_value(row: Mapping[str, object], encoded_name: str) -> float:
-    if encoded_name in row:
-        return float(row[encoded_name])  # numeric feature
-    base, _, level = encoded_name.rpartition("=")
-    return 1.0 if str(row[base]) == level else 0.0
-
-
 def _design_matrix(records: Sequence[Mapping[str, object]],
-                   features: Sequence[str]) -> Tuple[np.ndarray, List[str]]:
+                   features: Sequence[str]) -> Tuple[np.ndarray, List[Column]]:
     """Numeric columns pass through; categorical columns one-hot encode."""
-    numeric: Dict[str, bool] = {}
+    columns: List[Column] = []
     for name in features:
         try:
             for rec in records:
                 float(rec[name])
-            numeric[name] = True
+            columns.append((name, None))
         except (TypeError, ValueError):
-            numeric[name] = False
-    names: List[str] = []
-    columns: List[np.ndarray] = []
-    for name in features:
-        if numeric[name]:
-            names.append(name)
-            columns.append(np.array([float(r[name]) for r in records]))
-        else:
             levels = sorted({str(r[name]) for r in records})
-            for level in levels[1:]:  # first level is the reference
-                names.append(f"{name}={level}")
-                columns.append(np.array([1.0 if str(r[name]) == level else 0.0
-                                         for r in records]))
-    return np.column_stack(columns), names
-
-
-def logistic_loss(X: np.ndarray, y: np.ndarray, w: np.ndarray, b: float) -> float:
-    z = X @ w + b
-    # log(1 + exp(-z*y')) with y' in {-1, +1}, stable form
-    margin = np.where(y == 1, z, -z)
-    return float(np.mean(np.logaddexp(0.0, -margin)))
+            columns += [(name, level) for level in levels[1:]]  # first level is the reference
+    return np.column_stack([[_encode(r, c) for r in records] for c in columns]), columns
 
 
 def fit_scorer(
@@ -224,7 +217,7 @@ def fit_scorer(
     y = np.array([int(r[label_col]) for r in records])
     if len(set(y.tolist())) < 2:
         raise InsufficientDataError("need both classes present to fit a scorer")
-    X_raw, names = _design_matrix(records, features)
+    X_raw, columns = _design_matrix(records, features)
     means = X_raw.mean(axis=0)
     scales = X_raw.std(axis=0)
     scales[scales == 0.0] = 1.0
@@ -253,7 +246,7 @@ def fit_scorer(
     return ScorerModel(
         weights=tuple(float(v) for v in w),
         intercept=b,
-        feature_names=tuple(names),
+        columns=tuple(columns),
         means=tuple(float(v) for v in means),
         scales=tuple(float(v) for v in scales),
         trained_on=n,

@@ -20,9 +20,6 @@ from debiasim.oracle import (
     brute_force_threshold,
     drift_oracle,
     median_density,
-    normal_cdf_ref,
-    normal_quantile_ref,
-    simulate_medians,
 )
 from debiasim.policy import (
     ConstraintKind,
@@ -31,6 +28,7 @@ from debiasim.policy import (
     solve_thresholds,
 )
 from debiasim.runner import run_many, run_single
+from helpers import normal_cdf_ref, normal_quantile_ref, row_at_samples, simulate_medians
 
 SEEDS_20 = list(range(20))
 TRUE_OMEGA = {50.0: {0: 7.0, 1: 10.0}, 60.0: {0: 7.2533471031358, 1: 10.0}}
@@ -295,7 +293,7 @@ def test_criterion_9_fairness_interplay():
     for kind in ("unconstrained", "same_decision_rule"):
         runs = run_seeds(fairness_config(kind))
         bias_at[kind] = {
-            g: np.mean([t.row_at_samples(checkpoint).bias_of((g, 0)) for t in runs])
+            g: np.mean([row_at_samples(t, checkpoint).bias_of((g, 0)) for t in runs])
             for g in ("a", "b")
         }
     u, sd = bias_at["unconstrained"], bias_at["same_decision_rule"]

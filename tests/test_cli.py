@@ -117,6 +117,13 @@ class TestConfig:
         ({"batch_gate": 50.9}, "config.batch_gate"),
         ({"seeds": [True]}, "config.seeds"),
         ({"seeds": [1.5]}, "config.seeds"),
+        ({"seeds": [-1]}, "config.seeds"),
+        ({"out_dir": 7}, "config.out_dir"),
+        ({"source": {"kind": "csv_replay", "path": 7}}, "config.source.path"),
+        ({"source": {"kind": "csv_replay", "path": "x.csv", "columns": {"x": 7}}},
+         "config.source.columns"),
+        ({"source": {"kind": "csv_replay", "path": "x.csv", "columns": {"z": "q"}}},
+         "config.source.columns"),
         ({"fractions": [0.5, 0.5]}, "config.fractions"),
         ({"initial_estimates": [1]}, "config.initial_estimates"),
         ({"population": [1]}, "config.population"),
@@ -263,6 +270,30 @@ class TestCli:
         err = capsys.readouterr().err
         assert "source.path" in err and "'zz'" in err
 
+    def test_config_directory_exit_code(self, tmp_path, capsys):
+        # Died with an IsADirectoryError traceback before.
+        code = main(["run", "--config", str(tmp_path), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        # Died with a FileExistsError traceback before.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_dict()))
+        code = main(["run", "--config", str(cfg_path), "--out", str(cfg_path)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_negative_seed_exit_code(self, tmp_path, capsys):
+        # Died with a ValueError traceback from SeedSequence before.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_dict()))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--seeds", "-1"])
+        assert code == 2
+        assert "error: --seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_dict()))
@@ -286,10 +317,24 @@ class TestCli:
         code = main(["score", "--data", str(raw), "--features", "age,grade",
                      "--fit-frac", "0.5", "--out", str(out)])
         assert code == 0
-        rows = list(csv.DictReader(open(out)))
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
         assert len(rows) == 400
         assert all(0.0 < float(r["x"]) < 1.0 for r in rows)
         assert (tmp_path / "scored.model.json").exists()
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_score_categorical_level_with_equals(self, tmp_path):
+        # Died with KeyError: 'cat=k' before: the level was re-parsed from "cat=k=2".
+        raw = tmp_path / "raw.csv"
+        raw.write_text("cat,y,g\n" + "".join(f"k={i % 2 + 1},{i % 2},a\n" for i in range(40)))
+        out = tmp_path / "scored.csv"
+        code = main(["score", "--data", str(raw), "--features", "cat", "--fit-frac", "1.0",
+                     "--iters", "50", "--out", str(out)])
+        assert code == 0
+        with open(out, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert {r["x"] for r in rows if r["y"] == "1"} != {r["x"] for r in rows if r["y"] == "0"}
 
     def test_score_single_class_fails(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"
@@ -359,8 +404,11 @@ class TestCli:
                                 "1": {"family": "gaussian", "params": [10, 1]}}},
             "fractions": {"a": {"0": 0.5, "1": 0.5}},
             "fairness": {"kind": "bogus"}}), "spec.fairness.kind"),
+        (["threshold"], json.dumps({
+            "estimates": {"a": {"1": {"family": "gaussian", "params": [10, 1]}}},
+            "fractions": {"a": {"0": 0.5, "1": 0.5}}}), "('a', 0)"),
     ], ids=["params a,1", "drift batch 0", "spec not json", "spec no estimates",
-            "spec bogus fairness"])
+            "spec bogus fairness", "spec group with one label"])
     def test_oracle_bad_input_exit_code(self, argv, spec, field, tmp_path, capsys):
         # Each died with a traceback before.
         if spec is not None:

@@ -469,9 +469,8 @@ class TestEngineRuns:
         assert engine.trace.rows == []
 
 
-def test_import_leaves_scipy_stats_out():
-    # scipy.stats costs most of the import time; the engine computes the
-    # normal pdf and cdf it needs from numpy and scipy.special.
+def _loaded_by_import(module: str) -> str:
+    """Whether a fresh ``import debiasim`` loads ``module``, as printed."""
     import os
     import subprocess
     import sys
@@ -480,7 +479,18 @@ def test_import_leaves_scipy_stats_out():
     src = str(Path(debiasim.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    code = "import sys, debiasim; print('scipy.stats' in sys.modules)"
+    code = f"import sys, debiasim; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True)
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_import_leaves_scipy_stats_out():
+    # scipy.stats costs most of the import time; the engine computes the
+    # normal pdf and cdf it needs from numpy and scipy.special.
+    assert _loaded_by_import("scipy.stats") == "False"
+
+
+def test_import_leaves_mpmath_out():
+    # mpmath serves only the tests' high-precision references.
+    assert _loaded_by_import("mpmath") == "False"

@@ -15,6 +15,7 @@ from debiasim.metrics import (
     exploration_error,
     regret_increment,
 )
+from helpers import row_at_samples
 
 
 class TestBias:
@@ -140,9 +141,9 @@ class TestRunTrace:
         trace = RunTrace(["a"], [("a", 0), ("a", 1)], seed=0, config_hash="x")
         for t, s in [(0, 0), (1, 120), (2, 300)]:
             trace.append(_row(t, s))
-        assert trace.row_at_samples(150).t == 1
-        assert trace.row_at_samples(299).t == 1
-        assert trace.row_at_samples(300).t == 2
+        assert row_at_samples(trace, 150).t == 1
+        assert row_at_samples(trace, 299).t == 1
+        assert row_at_samples(trace, 300).t == 2
 
     def test_csv_round_trip(self, tmp_path):
         trace = RunTrace(["a"], [("a", 0), ("a", 1)], seed=3, config_hash="abc")

@@ -11,16 +11,18 @@ from debiasim.dist import TruncationWindow, beta, gaussian
 from debiasim.errors import DomainError
 from debiasim.oracle import (
     MedianDensityQuery,
-    beta_cdf_ref,
     brute_force_threshold,
     drift_oracle,
     median_density,
+)
+from debiasim.policy import lower_bound, solve_thresholds
+from helpers import (
+    beta_cdf_ref,
     normal_cdf_ref,
     normal_pdf_ref,
     normal_quantile_ref,
     simulate_medians,
 )
-from debiasim.policy import lower_bound, solve_thresholds
 
 
 class TestMedianDensity:

@@ -7,7 +7,7 @@ import pytest
 
 from debiasim.dist import beta, gaussian
 from debiasim.errors import DomainError
-from debiasim.oracle import brute_force_threshold, normal_cdf_ref, normal_quantile_ref
+from debiasim.oracle import brute_force_threshold
 from debiasim.policy import (
     ConstraintKind,
     FairnessConstraint,
@@ -17,6 +17,7 @@ from debiasim.policy import (
     solve_thresholds,
     upper_bound,
 )
+from helpers import normal_cdf_ref, normal_quantile_ref
 
 NORM_CDF_MINUS_15 = 0.0668072012688581  # mpmath oracle: Phi(-1.5)
 
@@ -202,9 +203,3 @@ class TestPopulationSpec:
         with pytest.raises(DomainError):
             PopulationSpec(fractions={("a", 0): 0.5, ("a", 1): 0.5},
                            dists={("a", 0): gaussian(0, 1)})
-
-    def test_groups(self):
-        spec = PopulationSpec(
-            fractions={("b", 0): 0.5, ("a", 1): 0.5},
-            dists={("b", 0): gaussian(0, 1), ("a", 1): gaussian(1, 1)})
-        assert spec.groups == ("a", "b")

@@ -16,9 +16,9 @@ from debiasim.stream import (
     fit_initial_estimate,
     fit_scorer,
     load_replay,
-    logistic_loss,
     read_scored_csv,
 )
+from helpers import logistic_loss
 
 BETA_194_332_MEDIAN = 0.3511189944333637  # mpmath oracle
 
