@@ -33,7 +33,7 @@ from .stream import fit_initial_estimate, fit_scorer
 def _parse_seeds(text: str) -> List[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
-        if any(s < 0 for s in seeds):
+        if not seeds or any(s < 0 for s in seeds):
             raise ValueError
     except ValueError:
         raise ConfigError(f"--seeds: expected comma-separated non-negative integers, "
@@ -60,6 +60,26 @@ def _read_csv(path, columns: List[str]) -> List[dict]:
     return rows
 
 
+def _cell(path, i: int, row: dict, column: str, parse=str, expected: str = ""):
+    """Row i's cell in ``column`` through ``parse``. A missing cell, or one
+    that ``parse`` refuses, is a ConfigError naming the file, row and column."""
+    value = row[column]
+    if value is None:
+        raise ConfigError(f"{path}: row {i}: column {column!r} is missing")
+    try:
+        return parse(value)
+    except ValueError:
+        raise ConfigError(f"{path}: row {i}: column {column!r} holds {value!r}, "
+                          f"not {expected}") from None
+
+
+def _label(text: str) -> int:
+    y = int(text)
+    if y not in (0, 1):
+        raise ValueError
+    return y
+
+
 def _cmd_run(args) -> int:
     config = load_config(args.config)
     seeds = _parse_seeds(args.seeds) if args.seeds else None
@@ -74,16 +94,24 @@ def _cmd_score(args) -> int:
     rows = _read_csv(args.data, [args.label_col, args.group_col] + features)
     if not rows:
         raise ConfigError(f"{args.data}: no data rows")
+    labels = []
+    for i, row in enumerate(rows, start=1):
+        labels.append(_cell(args.data, i, row, args.label_col, _label, "0 or 1"))
+        for column in [args.group_col] + features:
+            _cell(args.data, i, row, column)
     n_fit = max(int(len(rows) * args.fit_frac), 2)
     model = fit_scorer(rows[:n_fit], label_col=args.label_col, features=features,
                        learn_rate=args.lr, iterations=args.iters)
+    numeric = [name for name, level in model.columns if level is None]
+    for i, row in enumerate(rows, start=1):
+        for column in numeric:
+            _cell(args.data, i, row, column, float, "a number")
     out_path = Path(args.out)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["x", "y", "g"])
-        for row in rows:
-            writer.writerow([repr(model.score(row)), int(row[args.label_col]),
-                             row[args.group_col]])
+        for row, y in zip(rows, labels):
+            writer.writerow([repr(model.score(row)), y, row[args.group_col]])
     meta = {
         "trained_on": model.trained_on,
         "features": list(model.feature_names),
@@ -106,11 +134,7 @@ def _read_scores(args) -> List[float]:
     scores = []
     for i, row in enumerate(rows, start=1):
         if all(str(row[k]) == v for k, v in filters.items()):
-            try:
-                scores.append(float(row[args.column]))
-            except (TypeError, ValueError):
-                raise ConfigError(f"{args.scores}: row {i}: column {args.column!r} holds "
-                                  f"{row[args.column]!r}, not a number") from None
+            scores.append(_cell(args.scores, i, row, args.column, float, "a number"))
     return scores
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,8 +48,11 @@ def _int(value, path: str) -> int:
 
 
 def _number(value, path: str) -> float:
+    # bool is not a number here; json reads NaN and Infinity as floats.
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     return float(value)
 
 
@@ -67,6 +71,7 @@ def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
     params = _require(d, "params", path)
     if not (isinstance(params, (list, tuple)) and len(params) == 2):
         raise ConfigError(f"{path}.params: expected two numbers, got {params!r}")
+    params = tuple(_number(v, f"{path}.params") for v in params)
     kwargs = {
         "ref_level": _number(d.get("ref_level", 50.0), f"{path}.ref_level"),
         "unknown_index": _int(d.get("unknown_index", 0), f"{path}.unknown_index"),
@@ -77,7 +82,7 @@ def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
             raise ConfigError(f"{path}.support: expected [lo, hi], got {support!r}")
         kwargs["support"] = tuple(_number(v, f"{path}.support") for v in support)
     try:
-        return ParametricEstimate(family, (float(params[0]), float(params[1])), **kwargs)
+        return ParametricEstimate(family, params, **kwargs)
     except Exception as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

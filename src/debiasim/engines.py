@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
@@ -40,7 +40,7 @@ from scipy import special
 from scipy.optimize import brentq
 
 from .dist import Family, ParametricEstimate, gaussian
-from .errors import DomainError, InsufficientBatchError, NoSolutionError
+from .errors import DomainError, NoSolutionError
 from .metrics import (
     OracleBaseline,
     RunTrace,
@@ -79,9 +79,10 @@ class EngineSpec:
     """What sets one engine apart from the others.
 
     ``bounded``: LB reflects theta about the label-0 reference point, each
-    round's batch starts empty and the fit is truncation-corrected for
-    [LB, inf). Otherwise the pool accumulates over rounds, the fit is the
-    plain percentile, and LB is -inf when exploring and theta when not.
+    pair's batch is its kept arrivals of the round and the fit is
+    truncation-corrected for [LB, inf). Otherwise the pool is every kept
+    arrival of the run so far, the fit is the plain percentile, and LB is
+    -inf when exploring and theta when not.
     ``explore``: admit inside [LB, theta) with probability eps and
     eps-downsample the retention of admits above theta. Otherwise retain
     every admit and draw no uniform. ``two_param``: bound the label-1
@@ -208,46 +209,36 @@ def portion_left(est: ParametricEstimate, lb: float) -> float:
     return min(max((f_ref - f_lb) / denom, 0.0), 1.0)
 
 
-@dataclass
 class BatchBuffer:
-    """Retained samples for one (group, label) pair and the LB their fit corrects for."""
+    """The run's retention record: each arrival's value, its pair code
+    (2 * group index + label) and whether it was kept for a fit.
 
-    size_gate: int
-    update_lb: float = _NEG_INF
-    samples: List[float] = field(default_factory=list)
-    new_count: int = 0
+    Pair k's batch over arrivals [start, end) is its kept arrivals there,
+    in arrival order.
+    """
 
-    def extend(self, xs: List[float]) -> None:
-        self.samples.extend(xs)
-        self.new_count += len(xs)
+    def __init__(self, xs: np.ndarray, pair: np.ndarray):
+        self.xs, self.pair = xs, pair
+        self.kept = np.zeros(len(xs), dtype=bool)
 
-    def start_round(self, update_lb: float, keep_samples: bool) -> None:
-        self.update_lb = update_lb
-        self.new_count = 0
-        if not keep_samples:
-            self.samples.clear()
+    def pool(self, k: int, start: int, end: int) -> np.ndarray:
+        return self.xs[start:end][self.kept[start:end] & (self.pair[start:end] == k)]
 
 
 def update_reference(
-    buffer: BatchBuffer,
+    samples: np.ndarray,
     est: ParametricEstimate,
+    lb: float = _NEG_INF,
     mode: UpdateMode = UpdateMode.PORTION,
 ) -> float:
-    """New reference value from a filled batch.
+    """New reference value from a batch whose fit corrects for [lb, inf).
 
     PORTION: linear-interpolation quantile of the batch at the estimate's
-    left-portion of [update_lb, inf). WINDOW_MEDIAN: realized median of the
-    batch (the buffer is expected to hold [LB, theta) samples only).
+    left-portion of [lb, inf). WINDOW_MEDIAN: realized median of the batch
+    (expected to hold [LB, theta) samples only).
     """
-    if buffer.new_count < buffer.size_gate:
-        raise InsufficientBatchError(
-            f"batch holds {buffer.new_count} new samples, gate is {buffer.size_gate}"
-        )
-    if mode is UpdateMode.WINDOW_MEDIAN:
-        portion = 0.5
-    else:
-        portion = portion_left(est, buffer.update_lb)
-    return float(np.quantile(np.asarray(buffer.samples), portion))
+    portion = 0.5 if mode is UpdateMode.WINDOW_MEDIAN else portion_left(est, lb)
+    return float(np.quantile(samples, portion))
 
 
 @dataclass
@@ -333,10 +324,13 @@ class Engine:
     """One seeded online run: admission, batch collection, estimate updates.
 
     The engine consumes one block of arrivals round by round. A round ends
-    when every (group, label) buffer has collected ``batch_gate`` new
-    samples; the estimates, thresholds and exploration bounds are then
-    re-solved and one trace row is emitted. Running out of arrivals before
-    the gate closes terminates the run cleanly, discarding the partial batch.
+    when every (group, label) pair has kept ``batch_gate`` arrivals since
+    the round started; the estimates, thresholds and exploration bounds are
+    then re-solved and one trace row is emitted. ``record`` marks each
+    arrival the fits keep: a bounded engine fits each pair on the round's
+    kept arrivals, the others on every kept arrival of the run so far.
+    Running out of arrivals before the gate closes terminates the run
+    cleanly, discarding the partial batch.
 
     Each group's state is one element of a per-field array (``theta``,
     ``lb``, ``ub``, ``eps``, ``cum_explore_err``, the adaptive monitor) at
@@ -433,9 +427,6 @@ class Engine:
         self._mon_obs = np.zeros(n_groups, dtype=np.int64)
         self._mon_exp = np.zeros(n_groups)
 
-        self.buffers: Dict[PairKey, BatchBuffer] = {
-            key: BatchBuffer(size_gate=self.batch_gate) for key in self.pairs
-        }
         self.trace = RunTrace(self.groups, self.pairs, seed=seed, config_hash=config_hash,
                               two_param=spec.two_param)
         self._true_refs: Dict[PairKey, Optional[float]] = {}
@@ -495,11 +486,7 @@ class Engine:
     # -- round machinery ---------------------------------------------------
 
     def _start_round(self) -> None:
-        bounded = self.spec.bounded
-        lbs = self.lb.tolist()
-        for k, key in enumerate(self.pairs):
-            update_lb = lbs[k // 2] if bounded else _NEG_INF
-            self.buffers[key].start_round(update_lb, keep_samples=not bounded)
+        self._round_start = self.samples_seen
         self._below = np.zeros(len(self.pairs), dtype=np.int64)
         self._round_eps = self.eps.copy()
 
@@ -513,10 +500,15 @@ class Engine:
                 theta[i], lb[i], eps[i], below[2 * i], below[2 * i + 1],
             )
 
+        bounded = self.spec.bounded
+        start = self._round_start if bounded else 0
         for k, key in enumerate(self.pairs):
+            i, y = divmod(k, 2)
+            batch = self.record.pool(k, start, self.samples_seen)
             if self.spec.two_param:
-                i, y = divmod(k, 2)
                 state = self.two_param[key]
+                for x in batch.tolist():
+                    twoparam_update(state, x)
                 hi = theta[i] if y == 0 else ub[i]
                 try:
                     state.sigma_hat = recover_sigma(state.variance, state.mean, lb[i], hi)
@@ -524,8 +516,9 @@ class Engine:
                     log.warning("sigma recovery failed for %s; keeping previous value", key)
                 self.estimates[key] = gaussian(state.mean, state.sigma_hat)
             else:
-                mode = self.update_mode if key[1] == 0 else UpdateMode.PORTION
-                new_ref = update_reference(self.buffers[key], self.estimates[key], mode)
+                mode = self.update_mode if y == 0 else UpdateMode.PORTION
+                new_ref = update_reference(batch, self.estimates[key],
+                                           lb[i] if bounded else _NEG_INF, mode)
                 self.estimates[key] = self.estimates[key].with_ref_value(new_ref)
 
         self.updates += 1
@@ -549,6 +542,7 @@ class Engine:
         n = min(horizon, len(arrivals.xs))
         remap = np.array([index[g] for g in arrivals.groups], dtype=np.intp)
         xs, ys, gi = arrivals.xs[:n], arrivals.ys[:n], remap[arrivals.gcodes[:n]]
+        self.record = BatchBuffer(xs, 2 * gi + ys)
         # Each arrival's count within its group, from 1; eps steps only where
         # that count is a multiple of the schedule's window.
         self._count = np.empty(n, dtype=np.intp)
@@ -561,7 +555,6 @@ class Engine:
         self._emit_row()
         size = 2 * len(self.pairs) * self.batch_gate
         while self.samples_seen < n:
-            start = self.samples_seen
             self._start_round()
             closed = False
             while not closed and self.samples_seen < n:
@@ -577,7 +570,7 @@ class Engine:
                 break
             self._apply_updates()
             self._emit_row()
-            size = 2 * (self.samples_seen - start)
+            size = 2 * (self.samples_seen - self._round_start)
         return self.trace
 
     def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray) -> Tuple[int, bool]:
@@ -609,26 +602,27 @@ class Engine:
             kept = kept & ~(above & (ys == 0))
         if self.spec.two_param:
             kept = kept & ~((ys == 1) & (xs > self.ub[gi]))
-        kpos = np.flatnonzero(kept)
-        kpair = 2 * gi[kpos] + ys[kpos]
 
-        close = self._gate_close(kpos, kpair)
+        close = self._gate_close(kept)
         m = n if close is None else close
         if m < n:
-            xs, ys, gi, theta, draws, accepted, above = (
-                a[:m] for a in (xs, ys, gi, theta, draws, accepted, above))
-            cut = int(np.searchsorted(kpos, m))
-            kpos, kpair = kpos[:cut], kpair[:cut]
+            xs, ys, gi, theta, draws, accepted, above, kept = (
+                a[:m] for a in (xs, ys, gi, theta, draws, accepted, above, kept))
         self._upos += int(np.count_nonzero(draws))
-        self._commit(xs, ys, gi, theta, accepted, above, kpos, kpair)
+        self._commit(xs, ys, gi, theta, accepted, above, kept)
         return m, close is not None
 
-    def _gate_close(self, kpos: np.ndarray, kpair: np.ndarray) -> Optional[int]:
-        """How many arrivals of the window close the gate: up to the one that
-        fills the last pair's batch. None if a batch stays short."""
+    def _gate_close(self, kept: np.ndarray) -> Optional[int]:
+        """How many arrivals of the window, whose ``kept`` mask is given,
+        close the gate: up to the one that fills the last pair's batch.
+        None if a batch stays short."""
+        rec, start, now = self.record, self._round_start, self.samples_seen
+        have = np.bincount(rec.pair[start:now][rec.kept[start:now]], minlength=len(self.pairs))
+        kpos = np.flatnonzero(kept)
+        kpair = rec.pair[now:now + len(kept)][kpos]
         close = 0
-        for k, key in enumerate(self.pairs):
-            need = self.batch_gate - self.buffers[key].new_count
+        for k in range(len(self.pairs)):
+            need = self.batch_gate - int(have[k])
             if need > 0:
                 hits = kpos[kpair == k]
                 if len(hits) < need:
@@ -636,16 +630,17 @@ class Engine:
                 close = max(close, int(hits[need - 1]) + 1)
         return close
 
-    def _commit(self, xs, ys, gi, theta, accepted, above, kpos, kpair) -> None:
-        """Book the decided arrivals: counts, monitor, regret and batches.
+    def _commit(self, xs, ys, gi, theta, accepted, above, kept) -> None:
+        """Book the decided arrivals: counts, monitor, regret and retention.
 
         Every float that is not integer-valued is summed in arrival order."""
         n_pairs = len(self.pairs)
+        start = self.samples_seen
         self.samples_seen += len(xs)
-        label0, label1 = ys == 0, ys == 1
-        self.cum_fp += int(np.count_nonzero(accepted & label0))
-        self.cum_fn += int(np.count_nonzero(~accepted & label1))
-        pair = 2 * gi + ys
+        self.record.kept[start:self.samples_seen] = kept
+        pair = self.record.pair[start:self.samples_seen]
+        self.cum_fp += int(np.count_nonzero(accepted & (ys == 0)))
+        self.cum_fn += int(np.count_nonzero(~accepted & (ys == 1)))
         self._below += np.bincount(pair[xs < theta], minlength=n_pairs)
 
         if self.schedule.mode is ScheduleMode.ADAPTIVE:
@@ -672,12 +667,3 @@ class Engine:
                                           gi[nz].tolist()):
                         total += d * error_weight(x, y, *self._truth_pair[g])
                     self.cum_weighted_regret = total
-
-        for k, key in enumerate(self.pairs):
-            batch = xs[kpos[kpair == k]].tolist()
-            if batch:
-                self.buffers[key].extend(batch)
-                if self.spec.two_param:
-                    state = self.two_param[key]
-                    for x in batch:
-                        twoparam_update(state, x)

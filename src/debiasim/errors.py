@@ -17,10 +17,6 @@ class DegenerateWindowError(DebiasimError):
     """A truncation window carries (numerically) no probability mass."""
 
 
-class InsufficientBatchError(DebiasimError):
-    """A batch buffer does not meet its size gate."""
-
-
 class InsufficientDataError(DebiasimError):
     """Too few observations to fit anything meaningful."""
 

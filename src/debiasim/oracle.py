@@ -16,7 +16,7 @@ import numpy as np
 from scipy.special import gammaln
 
 from .dist import ParametricEstimate, TruncationWindow
-from .engines import BatchBuffer, UpdateMode, update_reference
+from .engines import UpdateMode, update_reference
 from .errors import DomainError
 from .policy import FairnessConstraint, ConstraintKind, GroupId, PairKey, expected_loss
 
@@ -94,9 +94,7 @@ def drift_oracle(
     drifts = np.empty(replications)
     for i in range(replications):
         batch = true_dist.sample(window, rng, size=batch_size)
-        buffer = BatchBuffer(size_gate=batch_size, update_lb=lb,
-                             samples=list(batch), new_count=batch_size)
-        drifts[i] = update_reference(buffer, est, mode) - old_ref
+        drifts[i] = update_reference(batch, est, lb, mode) - old_ref
     return float(drifts.mean()), float(drifts.std(ddof=1) / math.sqrt(replications))
 
 

@@ -9,8 +9,12 @@ the per-arrival loop as it stood in ``src/`` before the kernel replaced it,
 with these edits:
 
 * ``run`` flattens the run's block of arrivals into ``AgentRecord``s;
-* ``BatchBuffer.extend([x])`` stands for the removed ``BatchBuffer.add(x)``,
-  and ``x >= thresholds[g]`` for the removed ``OracleBaseline.accept(x, g)``;
+* a retained arrival is marked in the engine's retention record
+  (``Engine.record.kept``) instead of appended to a per-pair buffer, and
+  ``_gate_met`` counts each pair's retained arrivals since the round started
+  itself; ``_apply_updates`` fits the batches, and folds the two-parameter
+  moments, from that record at round close;
+* ``x >= thresholds[g]`` stands for the removed ``OracleBaseline.accept(x, g)``;
 * the engine keeps each group's state in arrays, so ``GroupPolicy`` is the
   local NamedTuple below, built per arrival from ``Engine.theta``, ``lb``,
   ``ub`` and ``eps``; eps is written back to ``Engine.eps``, the round's
@@ -29,11 +33,11 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 import numpy as np
 
 from debiasim.engines import (
+    BatchBuffer,
     Engine,
     EngineSpec,
     ScheduleMode,
     advance_epsilon,
-    twoparam_update,
 )
 from debiasim.errors import DomainError
 from debiasim.metrics import RunTrace, error_weight, regret_increment
@@ -113,12 +117,11 @@ class ReferenceEngine(Engine):
                 return
         elif gp.ub is not None and x > gp.ub:
             return
-        if self.spec.two_param:
-            twoparam_update(self.two_param[key], x)
-        self.buffers[key].extend([x])
+        self.record.kept[self.samples_seen - 1] = True
+        self._new[self.pairs.index(key)] += 1
 
     def _gate_met(self) -> bool:
-        return all(self.buffers[key].new_count >= self.batch_gate for key in self.pairs)
+        return all(count >= self.batch_gate for count in self._new)
 
     def run(self, arrivals: ArrivalBlock, horizon: int) -> RunTrace:
         """Consume up to ``horizon`` arrivals, updating whenever the gate closes."""
@@ -126,11 +129,17 @@ class ReferenceEngine(Engine):
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
         self.group_samples = {g: 0 for g in self.groups}
         self._monitor = {g: {"start": 0, "obs": 0, "exp": 0.0} for g in self.groups}
+        n = min(horizon, len(arrivals.xs))
+        index = [self.groups.index(g) for g in arrivals.groups]
+        pair = [2 * index[c] + y for c, y in zip(arrivals.gcodes[:n].tolist(),
+                                                 arrivals.ys[:n].tolist())]
+        self.record = BatchBuffer(arrivals.xs[:n], np.array(pair, dtype=np.intp))
         it = records(arrivals)
         self._emit_row()
         exhausted = False
         while self.samples_seen < horizon and not exhausted:
             self._start_round()
+            self._new = [0] * len(self.pairs)
             while self.samples_seen < horizon:
                 try:
                     agent = next(it)

@@ -7,13 +7,18 @@ traced runs are not part of this suite, so a rename here would otherwise
 break them unseen.
 """
 
+import importlib.util
 import operator
+import sys
+from pathlib import Path
 
 import pytest
 
 import debiasim
 from debiasim import engines, runner, stream
 from test_cli import base_dict
+
+BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
 
 # Read directly; a missing one crashes the benchmark.
 REQUIRED = [
@@ -76,3 +81,23 @@ def test_solver_wrappers_count_per_update(monkeypatch):
     assert trace.final.t > 0
     assert calls == {"solve_thresholds": trace.final.t + 1,
                      "lower_bound": 2 * (trace.final.t + 1)}
+
+
+def test_tracer_installs_on_program(monkeypatch, tmp_path):
+    # The benchmark's tracer wraps the program without changing what it
+    # writes, and times one update_reference call per pair per update.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
+    bench_trace = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_trace)
+    config = debiasim.config_from_dict(base_dict(horizon=3000))
+    debiasim.run_single(config, 0).to_csv(tmp_path / "plain.csv")
+    tracer = bench_trace.Tracer().install(debiasim)
+    try:
+        trace = debiasim.run_single(config, 0)
+    finally:
+        tracer.uninstall()
+    trace.to_csv(tmp_path / "traced.csv")
+    assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+    assert trace.final.t > 0
+    assert tracer.calls("engines.update_reference") == len(trace.pairs) * trace.final.t

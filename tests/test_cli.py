@@ -146,10 +146,19 @@ class TestConfig:
          "config.initial_estimates.a.0.support"),
         ({"initial_estimates": {"a": {"0": 5, "1": base_dict()["initial_estimates"]["a"]["1"]}}},
          "config.initial_estimates.a.0"),
+        ({"initial_estimates": _estimates_with(params=[float("nan"), 1])},
+         "config.initial_estimates.a.0.params"),
+        ({"initial_estimates": _estimates_with(params=[True, 1])},
+         "config.initial_estimates.a.0.params"),
+        ({"initial_estimates": _estimates_with(params=["5", 1])},
+         "config.initial_estimates.a.0.params"),
+        ({"epsilon": {"step": float("nan")}}, "config.epsilon.step"),
+        ({"epsilon": {"step": float("inf")}}, "config.epsilon.step"),
+        ({"fairness": {"tolerance": float("nan")}}, "config.fairness.tolerance"),
     ], ids=lambda v: v if isinstance(v, str) else repr(v))
     def test_malformed_field_named(self, over, field):
         # Each raised a bare ValueError/TypeError/AttributeError, or (the
-        # floats, the bools, the string window and the string shuffle) was
+        # floats, the bools, the strings and the non-finite numbers) was
         # accepted, before.
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
             config_from_dict(base_dict(**over))
@@ -294,6 +303,16 @@ class TestCli:
         assert "error: --seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_empty_seed_list_exit_code(self, tmp_path, capsys):
+        # Exited 0 before, writing no trace and a summary with "seeds": [].
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_dict()))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "out"),
+                     "--seeds", ","])
+        assert code == 2
+        assert "error: --seeds" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_dict()))
@@ -335,6 +354,26 @@ class TestCli:
         with open(out, newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert {r["x"] for r in rows if r["y"] == "1"} != {r["x"] for r in rows if r["y"] == "0"}
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("last, column", [
+        ("20,2,a", "'y'"),
+        ("20", "'y'"),
+        ("abc,1,a", "'f'"),
+    ], ids=["label 2", "short row", "bad number past the fit"])
+    def test_score_bad_row_named(self, last, column, tmp_path, capsys):
+        # The label 2 was written out with exit 0; the others died with a
+        # TypeError / ValueError traceback.
+        raw = tmp_path / "raw.csv"
+        raw.write_text("f,y,g\n" + "".join(f"{i},{i % 2},a\n" for i in range(20))
+                       + last + "\n")
+        out = tmp_path / "s.csv"
+        code = main(["score", "--data", str(raw), "--features", "f", "--fit-frac", "0.5",
+                     "--iters", "50", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {raw}: row 21: column {column}")
+        assert not out.exists()
 
     def test_score_single_class_fails(self, tmp_path, capsys):
         raw = tmp_path / "raw.csv"

@@ -24,11 +24,8 @@ from debiasim.engines import (
     twoparam_update,
     update_reference,
 )
-from debiasim.errors import (
-    DomainError,
-    InsufficientBatchError,
-    NoSolutionError,
-)
+from debiasim import engines
+from debiasim.errors import DomainError, NoSolutionError
 from debiasim.policy import FairnessConstraint
 from debiasim.runner import run_single
 from debiasim.stream import ArrivalBlock, SyntheticStream
@@ -139,8 +136,8 @@ class TestDecide:
 class TestUpdateReference:
     def test_middle_order_statistic(self):
         est = gaussian(0, 1)  # median reference and lb=-inf give portion 0.5
-        buf = BatchBuffer(size_gate=5, samples=[5.0, 6.0, 7.0, 8.0, 9.0], new_count=5)
-        assert update_reference(buf, est) == pytest.approx(7.0)
+        samples = np.array([5.0, 6.0, 7.0, 8.0, 9.0])
+        assert update_reference(samples, est) == pytest.approx(7.0)
 
     def test_portion_left_naive_limit(self):
         est = gaussian(6, 1, ref_level=60)
@@ -152,11 +149,6 @@ class TestUpdateReference:
         expected = (0.6 - est.cdf(lb)) / (1.0 - est.cdf(lb))
         assert portion_left(est, lb) == pytest.approx(expected, abs=1e-12)
 
-    def test_insufficient_batch(self):
-        buf = BatchBuffer(size_gate=10, samples=[1.0], new_count=1)
-        with pytest.raises(InsufficientBatchError):
-            update_reference(buf, gaussian(0, 1))
-
     def test_fixed_point_when_estimate_correct(self):
         # Batches drawn from the estimate's own truncation leave the
         # reference unchanged up to sampling noise.
@@ -167,16 +159,22 @@ class TestUpdateReference:
         drifts = []
         for _ in range(300):
             xs = est.sample(window, rng, size=200)
-            buf = BatchBuffer(size_gate=200, update_lb=lb, samples=list(xs), new_count=200)
-            drifts.append(update_reference(buf, est) - est.ref_value)
+            drifts.append(update_reference(xs, est, lb) - est.ref_value)
         drifts = np.asarray(drifts)
         stderr = drifts.std(ddof=1) / math.sqrt(len(drifts))
         assert abs(drifts.mean()) < 3 * stderr
 
     def test_window_median_mode(self):
         est = gaussian(0, 1, ref_level=60)
-        buf = BatchBuffer(size_gate=3, samples=[1.0, 2.0, 8.0], new_count=3)
-        assert update_reference(buf, est, UpdateMode.WINDOW_MEDIAN) == pytest.approx(2.0)
+        samples = np.array([1.0, 2.0, 8.0])
+        assert update_reference(samples, est, mode=UpdateMode.WINDOW_MEDIAN) == pytest.approx(2.0)
+
+    def test_pool_is_kept_arrivals_of_pair(self):
+        record = BatchBuffer(np.array([1.0, 2.0, 3.0, 4.0, 5.0]), np.array([0, 1, 0, 0, 1]))
+        record.kept[[0, 1, 3, 4]] = True
+        assert record.pool(0, 0, 5).tolist() == [1.0, 4.0]
+        assert record.pool(0, 1, 3).tolist() == []
+        assert record.pool(1, 1, 5).tolist() == [2.0, 5.0]
 
 
 class TestAdvanceEpsilon:
@@ -315,12 +313,44 @@ class TestEngineRuns:
         )
         arrivals = SyntheticStream(cfg.truth, np.random.default_rng(1)).draw(2000)
         engine.run(arrivals, 2000)
-        # A bounded engine's buffer holds one round's batch, and its
-        # update_lb is the LB that round collected under.
+        # A bounded engine's batch is the round's kept arrivals, each at or
+        # above the LB that round collected under.
         assert engine.spec.bounded
-        for key, buf in engine.buffers.items():
-            assert buf.samples
-            assert all(x >= buf.update_lb for x in buf.samples)
+        for k in range(len(engine.pairs)):
+            batch = engine.record.pool(k, engine._round_start, engine.samples_seen)
+            assert len(batch)
+            assert (batch >= engine.lb[k // 2]).all()
+
+    @pytest.mark.parametrize("engine", ["active_debiasing", "pure_exploration",
+                                        "exploitation_only"])
+    def test_update_reference_gets_gated_batches(self, engine, monkeypatch):
+        # The batch gate lives in the round close alone: a bounded engine
+        # fits each pair on at least batch_gate samples of the round, all at
+        # or above the round's LB; an unbounded one on a pool that grows by
+        # at least batch_gate samples a round and corrects for no LB.
+        calls = []
+        original = engines.update_reference
+
+        def recording(samples, est, lb=-math.inf, mode=UpdateMode.PORTION):
+            calls.append((samples.copy(), lb))
+            return original(samples, est, lb, mode)
+
+        monkeypatch.setattr(engines, "update_reference", recording)
+        cfg = _base_config(engine, ref0=50.0, horizon=12000)
+        trace = run_single(cfg, 0)
+        assert trace.final.t > 0 and len(calls) == 2 * trace.final.t
+        gate = cfg.batch_gate
+        if ENGINE_SPECS[cfg.engine].bounded:
+            for j, (samples, lb) in enumerate(calls):
+                # Round t + 1 runs under the policy of trace row t.
+                assert lb == trace.rows[j // 2].lb["a"]
+                assert len(samples) >= gate
+                assert samples.min() >= lb
+        else:
+            for k in (0, 1):
+                sizes = [len(samples) for samples, lb in calls[k::2]]
+                assert all(np.diff([0] + sizes) >= gate)
+                assert all(lb == -math.inf for _, lb in calls[k::2])
 
     def test_stream_exhaustion_is_clean(self, tmp_path):
         # 60 rows cannot close a gate of 50 per pair; the run must end
