@@ -16,29 +16,54 @@ from .config import (
     _dist_from_dict,
     _dist_to_dict,
     _fairness_from_dict,
+    _int,
     _mapping,
     _number,
     _pairs_from_nested,
     _require,
     load_config,
+    seed_list,
 )
 from .dist import Family, ParametricEstimate, TruncationWindow
 from .engines import UpdateMode
 from .errors import ConfigError, DebiasimError
 from .policy import lower_bound, require_both_labels, solve_thresholds
 from .runner import run_many
-from .stream import fit_initial_estimate, fit_scorer
+from .stream import finite_float, fit_initial_estimate, fit_scorer
+
+
+def _arg(rule, parse, test, expected: str):
+    """An argparse ``type=``: ``parse`` the text, pass the value through
+    config's ``rule`` and require ``test`` of it. argparse reports a refused
+    value with the option's name and exit status 2."""
+    def convert(text: str):
+        try:
+            value = rule(parse(text), "")
+            if test(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {expected}, got {text!r}")
+    return convert
+
+
+_finite = _arg(_number, float, lambda v: True, "a finite number")
+_positive = _arg(_number, float, lambda v: v > 0, "a positive finite number")
+_fraction = _arg(_number, float, lambda v: 0 < v <= 1, "a number in (0, 1]")
+_level = _arg(_number, float, lambda v: 0 < v < 100, "a number in (0, 100)")
+_non_negative_int = _arg(_int, int, lambda v: v >= 0, "a non-negative integer")
+_positive_int = _arg(_int, int, lambda v: v > 0, "a positive integer")
 
 
 def _parse_seeds(text: str) -> List[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
-        if not seeds or any(s < 0 for s in seeds):
+        if any(s < 0 for s in seeds):
             raise ValueError
     except ValueError:
         raise ConfigError(f"--seeds: expected comma-separated non-negative integers, "
                           f"got {text!r}") from None
-    return seeds
+    return seed_list(seeds, "--seeds")
 
 
 def _parse_pair(text: str, name: str) -> tuple:
@@ -46,7 +71,7 @@ def _parse_pair(text: str, name: str) -> tuple:
         lo, hi = (float(part) for part in text.split(","))
     except ValueError:
         raise ConfigError(f"{name}: expected two comma-separated numbers, got {text!r}") from None
-    return lo, hi
+    return _number(lo, name), _number(hi, name)
 
 
 def _read_csv(path, columns: List[str]) -> List[dict]:
@@ -105,7 +130,7 @@ def _cmd_score(args) -> int:
     numeric = [name for name, level in model.columns if level is None]
     for i, row in enumerate(rows, start=1):
         for column in numeric:
-            _cell(args.data, i, row, column, float, "a number")
+            _cell(args.data, i, row, column, finite_float, "a finite number")
     out_path = Path(args.out)
     with open(out_path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -134,7 +159,8 @@ def _read_scores(args) -> List[float]:
     scores = []
     for i, row in enumerate(rows, start=1):
         if all(str(row[k]) == v for k, v in filters.items()):
-            scores.append(_cell(args.scores, i, row, args.column, float, "a number"))
+            scores.append(_cell(args.scores, i, row, args.column, finite_float,
+                                "a finite number"))
     return scores
 
 
@@ -231,10 +257,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_score.add_argument("--label-col", default="y")
     p_score.add_argument("--group-col", default="g")
     p_score.add_argument("--features", required=True, help="comma-separated feature columns")
-    p_score.add_argument("--fit-frac", type=float, default=0.025,
+    p_score.add_argument("--fit-frac", type=_fraction, default=0.025,
                          help="fraction of rows used to fit the scorer (default 0.025)")
-    p_score.add_argument("--lr", type=float, default=0.1)
-    p_score.add_argument("--iters", type=int, default=2000)
+    p_score.add_argument("--lr", type=_positive, default=0.1)
+    p_score.add_argument("--iters", type=_positive_int, default=2000)
     p_score.add_argument("--out", required=True, help="output scored CSV path")
     p_score.set_defaults(func=_cmd_score)
 
@@ -244,10 +270,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.add_argument("--filter", action="append",
                        help="col=value row filter (repeatable)")
     p_fit.add_argument("--family", choices=[f.value for f in Family], required=True)
-    p_fit.add_argument("--known", type=float, required=True,
+    p_fit.add_argument("--known", type=_finite, required=True,
                        help="value of the known parameter")
     p_fit.add_argument("--unknown-index", type=int, default=0, choices=[0, 1])
-    p_fit.add_argument("--ref-level", type=float, default=50.0)
+    p_fit.add_argument("--ref-level", type=_level, default=50.0)
     p_fit.add_argument("--support", help="lo,hi for beta (default 0,1)")
     p_fit.add_argument("--out", help="write the fitted estimate JSON here")
     p_fit.set_defaults(func=_cmd_fitdist)
@@ -258,24 +284,24 @@ def build_parser() -> argparse.ArgumentParser:
     p_md = o_sub.add_parser("median-density", help="sample-median density on a window")
     p_md.add_argument("--family", choices=[f.value for f in Family], default="gaussian")
     p_md.add_argument("--params", required=True, help="two comma-separated parameters")
-    p_md.add_argument("--ref-level", type=float, default=50.0)
+    p_md.add_argument("--ref-level", type=_level, default=50.0)
     p_md.add_argument("--support", help="lo,hi for beta")
     p_md.add_argument("--window", required=True, help="lo,hi truncation window")
     p_md.add_argument("--m", type=int, required=True, help="batch holds 2m+1 points")
-    p_md.add_argument("--grid", type=int, default=101)
+    p_md.add_argument("--grid", type=_positive_int, default=101)
     p_md.set_defaults(func=_cmd_oracle_median_density)
 
     p_dr = o_sub.add_parser("drift", help="Monte-Carlo one-step drift of the update rule")
     p_dr.add_argument("--family", choices=[f.value for f in Family], default="gaussian")
     p_dr.add_argument("--true-params", required=True)
     p_dr.add_argument("--est-params", required=True)
-    p_dr.add_argument("--ref-level", type=float, default=50.0)
+    p_dr.add_argument("--ref-level", type=_level, default=50.0)
     p_dr.add_argument("--support", help="lo,hi for beta")
-    p_dr.add_argument("--theta", type=float, required=True)
+    p_dr.add_argument("--theta", type=_finite, required=True)
     p_dr.add_argument("--lb", type=float, help="override the derived lower bound")
     p_dr.add_argument("--batch", type=int, default=50)
     p_dr.add_argument("--reps", type=int, default=500)
-    p_dr.add_argument("--seed", type=int, default=0)
+    p_dr.add_argument("--seed", type=_non_negative_int, default=0)
     p_dr.add_argument("--update-mode", choices=[m.value for m in UpdateMode],
                       default="portion")
     p_dr.set_defaults(func=_cmd_oracle_drift)

@@ -12,9 +12,11 @@ import hashlib
 import json
 import math
 import numbers
+from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .dist import Family, ParametricEstimate
 from .engines import EngineKind, ExplorationSchedule, ScheduleMode, UpdateMode
@@ -56,35 +58,61 @@ def _number(value, path: str) -> float:
     return float(value)
 
 
+def _two_numbers(value, path: str) -> Tuple[float, float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise ConfigError(f"{path}: expected two numbers, got {value!r}")
+    return tuple(_number(v, path) for v in value)
+
+
+def _enum(cls, value, path: str):
+    try:
+        return cls(value)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+@contextmanager
+def _named(path: str = ""):
+    """Report a DomainError raised in the block as a ConfigError at ``path``
+    (or as it stands, where the error names its field itself)."""
+    try:
+        yield
+    except DomainError as exc:
+        raise ConfigError(f"{path}: {exc}" if path else str(exc)) from None
+
+
 def _optional_str(value, path: str) -> Optional[str]:
     if value is not None and not isinstance(value, str):
         raise ConfigError(f"{path}: expected a string, got {value!r}")
     return value
 
 
+def seed_list(seeds: Sequence[int], path: str) -> List[int]:
+    """``seeds`` as a list, or a ConfigError at ``path`` if it is empty or
+    repeats a seed.
+
+    Artifacts are named by seed, so a repeat would overwrite its own trace
+    and count twice in the summary."""
+    if not seeds:
+        raise ConfigError(f"{path}: at least one seed required")
+    repeated = sorted(s for s, k in Counter(seeds).items() if k > 1)
+    if repeated:
+        raise ConfigError(f"{path}: each seed may appear once; repeated {repeated}")
+    return list(seeds)
+
+
 def _dist_from_dict(d: Mapping, path: str) -> ParametricEstimate:
     d = _mapping(d, path)
-    try:
-        family = Family(_require(d, "family", path))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.family: {exc}") from None
-    params = _require(d, "params", path)
-    if not (isinstance(params, (list, tuple)) and len(params) == 2):
-        raise ConfigError(f"{path}.params: expected two numbers, got {params!r}")
-    params = tuple(_number(v, f"{path}.params") for v in params)
+    family = _enum(Family, _require(d, "family", path), f"{path}.family")
+    params = _two_numbers(_require(d, "params", path), f"{path}.params")
     kwargs = {
         "ref_level": _number(d.get("ref_level", 50.0), f"{path}.ref_level"),
         "unknown_index": _int(d.get("unknown_index", 0), f"{path}.unknown_index"),
     }
     if family is Family.BETA:
-        support = d.get("support", [0.0, 1.0])
-        if not (isinstance(support, (list, tuple)) and len(support) == 2):
-            raise ConfigError(f"{path}.support: expected [lo, hi], got {support!r}")
-        kwargs["support"] = tuple(_number(v, f"{path}.support") for v in support)
-    try:
+        kwargs["support"] = _two_numbers(d.get("support", [0.0, 1.0]), f"{path}.support")
+    with _named(path):
         return ParametricEstimate(family, params, **kwargs)
-    except Exception as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
 
 
 def _dist_to_dict(est: ParametricEstimate) -> Dict:
@@ -113,15 +141,10 @@ def _pairs_from_nested(nested: Mapping, path: str, parse_leaf) -> Dict[PairKey, 
 
 def _fairness_from_dict(fair_raw, path: str) -> FairnessConstraint:
     fair_raw = _mapping(fair_raw, path)
-    try:
-        kind = ConstraintKind(fair_raw.get("kind", "unconstrained"))
-    except ValueError as exc:
-        raise ConfigError(f"{path}.kind: {exc}") from None
+    kind = _enum(ConstraintKind, fair_raw.get("kind", "unconstrained"), f"{path}.kind")
     tolerance = _number(fair_raw.get("tolerance", 1e-6), f"{path}.tolerance")
-    try:
+    with _named(path):
         return FairnessConstraint(kind=kind, tolerance=tolerance)
-    except DomainError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _pairs_to_nested(pairs: Mapping[PairKey, object], to_leaf) -> Dict:
@@ -161,18 +184,15 @@ class RunConfig:
             )
         if self.batch_gate < 1:
             raise ConfigError(f"batch_gate: must be >= 1, got {self.batch_gate}")
-        if not self.seeds:
-            raise ConfigError("seeds: at least one seed required")
+        seed_list(self.seeds, "seeds")
         total = sum(self.fractions.values())
         if abs(total - 1.0) > 1e-9:
             raise ConfigError(f"fractions: must sum to 1, got {total}")
         groups = {g for g, _ in self.fractions} | {g for g, _ in self.initial_estimates}
-        try:
+        with _named():
             require_both_labels("fractions", {k for k, f in self.fractions.items() if f > 0},
                                 groups)
             require_both_labels("initial_estimates", self.initial_estimates, groups)
-        except DomainError as exc:
-            raise ConfigError(str(exc)) from None
         if self.source.kind == "synthetic" and self.truth is None:
             raise ConfigError("population: required for synthetic sources")
 
@@ -224,14 +244,8 @@ class RunConfig:
 
 
 def config_from_dict(raw: Mapping) -> RunConfig:
-    try:
-        engine = EngineKind(_require(raw, "engine", "config"))
-    except ValueError as exc:
-        raise ConfigError(f"config.engine: {exc}") from None
-    try:
-        update_mode = UpdateMode(raw.get("update_mode", "portion"))
-    except ValueError as exc:
-        raise ConfigError(f"config.update_mode: {exc}") from None
+    engine = _enum(EngineKind, _require(raw, "engine", "config"), "config.engine")
+    update_mode = _enum(UpdateMode, raw.get("update_mode", "portion"), "config.update_mode")
 
     src_raw = _mapping(_require(raw, "source", "config"), "config.source")
     kind = _require(src_raw, "kind", "config.source")
@@ -267,29 +281,21 @@ def config_from_dict(raw: Mapping) -> RunConfig:
     if "population" in raw:
         true_dists = _pairs_from_nested(raw["population"], "config.population",
                                         _dist_from_dict)
-        try:
+        with _named("config.population"):
             truth = PopulationSpec(fractions=fractions, dists=true_dists)
-        except Exception as exc:
-            raise ConfigError(f"config.population: {exc}") from exc
 
     fairness = _fairness_from_dict(raw.get("fairness", {}), "config.fairness")
 
     eps_raw = _mapping(raw.get("epsilon", {}), "config.epsilon")
-    try:
-        mode = ScheduleMode(eps_raw.get("mode", "fixed_step"))
-    except ValueError as exc:
-        raise ConfigError(f"config.epsilon.mode: {exc}") from None
-    try:
+    with _named("config.epsilon"):
         schedule = ExplorationSchedule(
-            mode=mode,
+            mode=_enum(ScheduleMode, eps_raw.get("mode", "fixed_step"), "config.epsilon.mode"),
             step=_number(eps_raw.get("step", 0.1), "config.epsilon.step"),
             gain=_number(eps_raw.get("gain", 1.0), "config.epsilon.gain"),
             window=_int(eps_raw.get("window", 3000), "config.epsilon.window"),
             eps_min=_number(eps_raw.get("eps_min", 0.05), "config.epsilon.eps_min"),
             eps0=_number(eps_raw.get("eps0", 1.0), "config.epsilon.eps0"),
         )
-    except DomainError as exc:
-        raise ConfigError(f"config.epsilon: {exc}") from None
 
     seeds = raw.get("seeds", [0])
     if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):

@@ -104,9 +104,8 @@ class ParametricEstimate:
     def cdf(self, x):
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
-            if isinstance(x, float) or isinstance(x, int):
-                return float(special.ndtr((x - mu) / sigma)) if math.isfinite(x) else (
-                    0.0 if x < 0 else 1.0)
+            if isinstance(x, (float, int)):
+                return float(special.ndtr((x - mu) / sigma))
             z = (np.asarray(x, dtype=float) - mu) / sigma
             out = special.ndtr(z)
             return float(out) if out.ndim == 0 else out
@@ -190,6 +189,9 @@ def param_from_reference(
             )
         return (mu, sigma)
 
+    known = known_params[1 - unknown_index]
+    if not 0.0 < known < _INF:
+        raise DomainError(f"the known beta shape must be positive and finite, got {known}")
     lo, hi = support
     if not lo < ref_value < hi:
         raise DomainError(f"ref_value {ref_value} outside beta support [{lo}, {hi}]")

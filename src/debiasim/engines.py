@@ -29,6 +29,7 @@ arrival that fills the last batch.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 from dataclasses import dataclass
@@ -248,7 +249,6 @@ class TwoParamState:
     count: int = 0
     mean: float = 0.0
     m2: float = 0.0
-    sigma_hat: float = 1.0
 
     @property
     def variance(self) -> float:
@@ -408,12 +408,8 @@ class Engine:
                 self._truth_pair = [(truth.dists[(g, 0)], truth.dists[(g, 1)])
                                     for g in self.groups]
 
-        self.two_param: Dict[PairKey, TwoParamState] = {}
-        if spec.two_param:
-            self.two_param = {
-                key: TwoParamState(sigma_hat=self.estimates[key].params[1])
-                for key in self.pairs
-            }
+        self.two_param: Dict[PairKey, TwoParamState] = (
+            {key: TwoParamState() for key in self.pairs} if spec.two_param else {})
 
         self.samples_seen = 0
         self.updates = 0
@@ -478,7 +474,7 @@ class Engine:
             cum_weighted_regret=self.cum_weighted_regret,
             cum_exploration_error=by_group(self.cum_explore_err),
             ub=by_group(self.ub) if two_param else None,
-            sigma_hat={k: self.two_param[k].sigma_hat for k in self.pairs}
+            sigma_hat={k: self.estimates[k].params[1] for k in self.pairs}
             if two_param else None,
         )
         self.trace.append(row)
@@ -510,11 +506,12 @@ class Engine:
                 for x in batch.tolist():
                     twoparam_update(state, x)
                 hi = theta[i] if y == 0 else ub[i]
+                sigma = self.estimates[key].params[1]
                 try:
-                    state.sigma_hat = recover_sigma(state.variance, state.mean, lb[i], hi)
+                    sigma = recover_sigma(state.variance, state.mean, lb[i], hi)
                 except (NoSolutionError, DomainError):
                     log.warning("sigma recovery failed for %s; keeping previous value", key)
-                self.estimates[key] = gaussian(state.mean, state.sigma_hat)
+                self.estimates[key] = gaussian(state.mean, sigma)
             else:
                 mode = self.update_mode if y == 0 else UpdateMode.PORTION
                 new_ref = update_reference(batch, self.estimates[key],
@@ -527,11 +524,13 @@ class Engine:
     def run(self, arrivals: ArrivalBlock, horizon: int) -> RunTrace:
         """Decide the block's first ``horizon`` arrivals, updating whenever the gate closes.
 
-        A round reads windows of the arrivals not yet committed: the first
-        about twice as long as the previous round, each next one twice as
-        long while the gate stays open. The arrivals after the one that
-        closes the gate carry over to the next round. The run's uniforms are
-        drawn here, one per arrival: an arrival draws at most one.
+        The loop reads windows of the arrivals not yet committed: a round's
+        first window is twice as long as the previous round, each next one
+        twice as long while the gate stays open, so the run decides about
+        two arrivals for each one it commits. The arrivals after the one
+        that closes the gate carry over to the next round. The run's
+        uniforms are drawn here, one per arrival: an arrival draws at most
+        one.
         """
         if horizon < 4 * self.batch_gate:
             raise DomainError(f"horizon {horizon} < 4 * batch gate {self.batch_gate}")
@@ -543,34 +542,31 @@ class Engine:
         remap = np.array([index[g] for g in arrivals.groups], dtype=np.intp)
         xs, ys, gi = arrivals.xs[:n], arrivals.ys[:n], remap[arrivals.gcodes[:n]]
         self.record = BatchBuffer(xs, 2 * gi + ys)
-        # Each arrival's count within its group, from 1; eps steps only where
-        # that count is a multiple of the schedule's window.
-        self._count = np.empty(n, dtype=np.intp)
-        for i in range(len(self.groups)):
-            at = np.flatnonzero(gi == i)
-            self._count[at] = np.arange(1, len(at) + 1)
-        self._steps = np.flatnonzero(self._count % self.schedule.window == 0)
+        # The eps steps, sorted: (arrival index, count within its group) for
+        # each arrival whose count is a multiple of the schedule's window.
+        w = self.schedule.window
+        self._steps = sorted(
+            (at, k * w) for i in range(len(self.groups))
+            for k, at in enumerate(np.flatnonzero(gi == i)[w - 1::w].tolist(), 1))
         self._uniforms = self.rng.random(n)
         self._upos = 0
         self._emit_row()
+        self._start_round()
         size = 2 * len(self.pairs) * self.batch_gate
         while self.samples_seen < n:
-            self._start_round()
-            closed = False
-            while not closed and self.samples_seen < n:
-                window = slice(self.samples_seen, self.samples_seen + size)
-                used, closed = self._window(xs[window], ys[window], gi[window])
-                if used == size:
-                    size *= 2
-            if not closed:
-                # Partial batch at horizon or stream end: metrics counted,
-                # estimates untouched.
-                if self.samples_seen > self.trace.final.samples_seen:
-                    self._emit_row()
-                break
-            self._apply_updates()
+            window = slice(self.samples_seen, self.samples_seen + size)
+            used, closed = self._window(xs[window], ys[window], gi[window])
+            if closed:
+                self._apply_updates()
+                self._emit_row()
+                size = 2 * (self.samples_seen - self._round_start)
+                self._start_round()
+            elif used == size:
+                size *= 2
+        # Partial batch at horizon or stream end: metrics counted, estimates
+        # untouched.
+        if self.samples_seen > self.trace.final.samples_seen:
             self._emit_row()
-            size = 2 * (self.samples_seen - self._round_start)
         return self.trace
 
     def _window(self, xs: np.ndarray, ys: np.ndarray, gi: np.ndarray) -> Tuple[int, bool]:
@@ -579,17 +575,17 @@ class Engine:
         first arrival's group takes that step (and restarts the group's
         monitor) first; it is cut before the next step of any group. Returns
         (arrivals committed, gate closed)."""
-        start = self.samples_seen
-        j = int(np.searchsorted(self._steps, start))
-        if j < len(self._steps) and self._steps[j] == start:
+        start, steps = self.samples_seen, self._steps
+        j = bisect.bisect_left(steps, (start,))
+        if j < len(steps) and steps[j][0] == start:
             g = int(gi[0])
-            self.eps[g] = advance_epsilon(self.schedule, int(self._count[start]),
+            self.eps[g] = advance_epsilon(self.schedule, steps[j][1],
                                           int(self._mon_obs[g]), float(self._mon_exp[g]))
             self._mon_obs[g], self._mon_exp[g] = 0, 0.0
             j += 1
         n = len(xs)
-        if j < len(self._steps):
-            n = min(n, int(self._steps[j]) - start)
+        if j < len(steps):
+            n = min(n, steps[j][0] - start)
         xs, ys, gi = xs[:n], ys[:n], gi[:n]
 
         theta = self.theta[gi]

@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import RunConfig, seed_list
 from .engines import Engine
 from .errors import ConfigError
 from .metrics import RunTrace, write_summary
@@ -84,7 +84,7 @@ def run_many(
 
     A replay CSV is parsed once; each seed shuffles its rows on its own.
     """
-    seeds = list(seeds) if seeds is not None else list(config.seeds)
+    seeds = seed_list(seeds, "seeds") if seeds is not None else list(config.seeds)
     target = out_dir or config.out_dir
     if target is None:
         raise ConfigError("out_dir: required (config field or --out)")

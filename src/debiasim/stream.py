@@ -102,6 +102,14 @@ class SyntheticStream:
 DEFAULT_COLUMNS = {"x": "x", "y": "y", "g": "g"}
 
 
+def finite_float(text: str) -> float:
+    """The number ``text`` spells; NaN and the infinities are a ValueError."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return x
+
+
 def read_scored_csv(path, columns: Optional[Mapping[str, str]] = None) -> List[AgentRecord]:
     """Load a scored CSV into agent records; malformed rows name their index.
 
@@ -129,7 +137,7 @@ def read_scored_csv(path, columns: Optional[Mapping[str, str]] = None) -> List[A
                 continue
             i += 1
             try:
-                x = float(row[ix])
+                x = finite_float(row[ix])
                 y = int(row[iy])
                 if y not in (0, 1):
                     raise ValueError(f"label must be 0 or 1, got {y}")

@@ -313,6 +313,26 @@ class TestCli:
         assert "error: --seeds" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_repeated_seed_refused(self, tmp_path, capsys):
+        # Each ran the repeated seed twice before: one trace file, and
+        # summary.json listed and averaged it twice. An empty override wrote
+        # a summary of no runs.
+        with pytest.raises(ConfigError, match=r"^seeds: each seed may appear once; repeated \[0\]"):
+            config_from_dict(base_dict(seeds=[0, 1, 0]))
+        cfg = config_from_dict(base_dict())
+        with pytest.raises(ConfigError, match=r"^seeds: .*repeated \[2\]"):
+            run_many(cfg, out_dir=str(tmp_path / "api"), seeds=[2, 2])
+        with pytest.raises(ConfigError, match="^seeds: at least one seed required"):
+            run_many(cfg, out_dir=str(tmp_path / "api"), seeds=[])
+        assert not (tmp_path / "api").exists()
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(base_dict()))
+        code = main(["run", "--config", str(cfg_path), "--out", str(tmp_path / "cli"),
+                     "--seeds", "0,0"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --seeds: ")
+        assert not (tmp_path / "cli").exists()
+
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps(base_dict()))
@@ -360,10 +380,11 @@ class TestCli:
         ("20,2,a", "'y'"),
         ("20", "'y'"),
         ("abc,1,a", "'f'"),
-    ], ids=["label 2", "short row", "bad number past the fit"])
+        ("nan,1,a", "'f'"),
+    ], ids=["label 2", "short row", "bad number past the fit", "nan past the fit"])
     def test_score_bad_row_named(self, last, column, tmp_path, capsys):
-        # The label 2 was written out with exit 0; the others died with a
-        # TypeError / ValueError traceback.
+        # The label 2 and the nan score were written out with exit 0; the
+        # others died with a TypeError / ValueError traceback.
         raw = tmp_path / "raw.csv"
         raw.write_text("f,y,g\n" + "".join(f"{i},{i % 2},a\n" for i in range(20))
                        + last + "\n")
@@ -429,6 +450,55 @@ class TestCli:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and str(scores) in err and row in err
+
+    def test_fitdist_non_finite_score_named(self, tmp_path, capsys):
+        # Printed "params": [NaN, 1.0] with exit 0 before.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("x,y\n" + "0.5,1\n" * 12 + "nan,1\n")
+        code = main(["fitdist", "--scores", str(scores), "--family", "gaussian",
+                     "--known", "1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(
+            f"error: {scores}: row 13: column 'x' holds 'nan', not a finite number")
+
+    @pytest.mark.parametrize("argv, named", [
+        (["fitdist", "--family", "beta", "--known", "-1"], "known beta shape"),
+        (["fitdist", "--family", "beta", "--known", "nan"], "--known"),
+        (["fitdist", "--family", "gaussian", "--known", "inf"], "--known"),
+        (["fitdist", "--family", "beta", "--known", "3", "--ref-level", "nan"], "--ref-level"),
+        (["fitdist", "--family", "beta", "--known", "3", "--ref-level", "150"], "--ref-level"),
+        (["score", "--fit-frac", "nan"], "--fit-frac"),
+        (["score", "--fit-frac", "inf"], "--fit-frac"),
+        (["score", "--fit-frac", "0"], "--fit-frac"),
+        (["score", "--lr", "nan"], "--lr"),
+        (["score", "--iters", "0"], "--iters"),
+        (["oracle", "drift", "--seed", "-1"], "--seed"),
+        (["oracle", "drift", "--theta", "nan"], "--theta"),
+        (["oracle", "median-density", "--grid", "-1"], "--grid"),
+        (["oracle", "median-density", "--window=-inf,inf"], "--window"),
+    ], ids=lambda v: v if isinstance(v, str) else " ".join(v))
+    def test_bad_number_exit_code(self, argv, named, tmp_path, capsys):
+        # Before, the beta --known rows, --ref-level, --fit-frac nan or inf,
+        # --seed and --grid died with a traceback; the others exited 0,
+        # printing NaN or writing scores from a degenerate fit.
+        data = tmp_path / "data.csv"
+        data.write_text("x,f,y,g\n" + "".join(f"0.{i},{i},{i % 2},a\n" for i in range(1, 30)))
+        out = tmp_path / "s.csv"
+        extra = {
+            "fitdist": ["--scores", str(data)],
+            "score": ["--data", str(data), "--features", "f", "--out", str(out)],
+            "drift": ["--true-params", "7,1", "--est-params", "6,1", "--theta", "8",
+                      "--reps", "10"],
+            "median-density": ["--params", "7,1", "--window", "5,8", "--m", "1"],
+        }
+        command = argv[:2] if argv[0] == "oracle" else argv[:1]
+        try:  # argparse exits 2 itself on a refused option value
+            code = main(command + extra[command[-1]] + argv[len(command):])
+        except SystemExit as exc:
+            code = exc.code
+        assert code == 2
+        assert named in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv, spec, field", [
         (["median-density", "--params", "a,1", "--window", "5,8", "--m", "1"], None,

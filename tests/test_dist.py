@@ -74,6 +74,16 @@ class TestCdf:
         assert est.cdf(float("-inf")) == 0.0
         assert est.cdf(float("inf")) == 1.0
 
+    @pytest.mark.parametrize("wrap", [float, np.float64, lambda v: np.array([v])],
+                             ids=["float", "float64", "array"])
+    def test_non_finite(self, wrap):
+        # The Gaussian scalar branch returned 1.0 for NaN before; its array
+        # branch and the Beta family gave NaN.
+        for est in (gaussian(7, 1), beta(2, 3)):
+            assert np.isnan(est.cdf(wrap(math.nan))).all()
+            assert np.all(est.cdf(wrap(-math.inf)) == 0.0)
+            assert np.all(est.cdf(wrap(math.inf)) == 1.0)
+
     def test_monotone(self):
         est = beta(2.3, 4.1, support=(-1.0, 3.0))
         xs = np.linspace(-1.5, 3.5, 400)
@@ -156,6 +166,14 @@ class TestParamFromReference:
     def test_ref_value_outside_support(self):
         with pytest.raises(DomainError):
             param_from_reference(Family.BETA, (2.0, 3.0), 0, 50.0, 1.5)
+
+    @pytest.mark.parametrize("known", [-1.0, 0.0, float("nan"), float("inf")])
+    @pytest.mark.parametrize("unknown_index", [0, 1])
+    def test_beta_known_shape_must_be_positive_and_finite(self, known, unknown_index):
+        # Each died in brentq with a bare ValueError before.
+        params = (known, known)
+        with pytest.raises(DomainError, match="known beta shape"):
+            param_from_reference(Family.BETA, params, unknown_index, 50.0, 0.4)
 
     def test_identity_property(self):
         rng = np.random.default_rng(11)

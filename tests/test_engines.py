@@ -352,6 +352,24 @@ class TestEngineRuns:
                 assert all(np.diff([0] + sizes) >= gate)
                 assert all(lb == -math.inf for _, lb in calls[k::2])
 
+    def test_window_doubling_bounds_decided_arrivals(self, monkeypatch):
+        # An eps window longer than the horizon puts no eps step in the run,
+        # so only the doubling keeps each window near its round's length.
+        # Deciding every window up to the next step instead would read to
+        # the end of the run each time.
+        decided = []
+        original = engines.admission_masks
+
+        def counting(spec, xs, *args):
+            decided.append(len(xs))
+            return original(spec, xs, *args)
+
+        monkeypatch.setattr(engines, "admission_masks", counting)
+        eps = {"mode": "fixed_step", "step": 0.1, "window": 10**7, "eps_min": 0.05}
+        trace = run_single(_base_config(horizon=40000, eps=eps), 0)
+        assert trace.final.t >= 20
+        assert sum(decided) <= 3 * trace.final.samples_seen
+
     def test_stream_exhaustion_is_clean(self, tmp_path):
         # 60 rows cannot close a gate of 50 per pair; the run must end
         # quietly with metrics counted and no estimate update.

@@ -161,6 +161,14 @@ class TestCsvReplay:
         with pytest.raises(MalformedRowError, match="row 1"):
             read_scored_csv(path)
 
+    @pytest.mark.parametrize("x", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_score_names_index(self, x, tmp_path):
+        # Accepted before: NaN rows were never admitted, inf rows entered
+        # the batches.
+        path = self._write(tmp_path, ["1.0,1,a", f"{x},0,a"])
+        with pytest.raises(MalformedRowError, match=f"row 2: expected a finite number, got '{x}'"):
+            read_scored_csv(path)
+
     def test_missing_column(self, tmp_path):
         path = self._write(tmp_path, ["1.0,1"], header="x,y")
         with pytest.raises(MalformedRowError, match="header"):
