@@ -111,13 +111,18 @@ class ParametricEstimate:
             return float(out) if out.ndim == 0 else out
         a, b = self.params
         lo, hi = self.support
+        if isinstance(x, (float, int)):  # max, then min, keeps NaN as np.clip does
+            return float(special.betainc(a, b, min(max((x - lo) / (hi - lo), 0.0), 1.0)))
         u = np.clip((np.asarray(x, dtype=float) - lo) / (hi - lo), 0.0, 1.0)
         out = special.betainc(a, b, u)
         return float(out) if out.ndim == 0 else out
 
     def quantile(self, p):
-        parr = np.asarray(p, dtype=float)
-        if np.any(parr <= 0.0) or np.any(parr >= 1.0):
+        # A float or int skips numpy's 0-d array path; its comparisons let NaN
+        # through, as np.any does on arrays.
+        scalar = isinstance(p, (float, int))
+        parr = p if scalar else np.asarray(p, dtype=float)
+        if (p <= 0.0 or p >= 1.0) if scalar else (np.any(parr <= 0.0) or np.any(parr >= 1.0)):
             raise DomainError(f"quantile level must lie in (0, 1), got {p}")
         if self.family is Family.GAUSSIAN:
             mu, sigma = self.params
@@ -126,7 +131,7 @@ class ParametricEstimate:
             a, b = self.params
             lo, hi = self.support
             out = lo + (hi - lo) * special.betaincinv(a, b, parr)
-        return float(out) if np.ndim(out) == 0 else out
+        return float(out) if scalar or np.ndim(out) == 0 else out
 
     def sample(self, window: TruncationWindow, rng: np.random.Generator, size=None):
         """Draw from this distribution truncated to ``window``.

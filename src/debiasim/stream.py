@@ -19,7 +19,7 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .dist import Family, ParametricEstimate, param_from_reference
-from .errors import InsufficientDataError, MalformedRowError
+from .errors import DomainError, InsufficientDataError, MalformedRowError
 from .policy import GroupId, PopulationSpec
 
 # Arrivals drawn per block of a synthetic stream.
@@ -274,6 +274,8 @@ def fit_initial_estimate(
     Takes the empirical ref_level-percentile of the scores and maps it back
     through the family's quantile function.
     """
+    if not 0.0 < ref_level < 100.0:
+        raise DomainError(f"ref_level must be in (0, 100), got {ref_level}")
     arr = np.asarray(list(scores), dtype=float)
     if arr.size < 10:
         raise InsufficientDataError(f"need at least 10 scores, got {arr.size}")

@@ -102,15 +102,72 @@ class TestQuantile:
     def test_uniform_beta(self):
         assert beta(1, 1).quantile(0.9) == pytest.approx(0.9, abs=1e-9)
 
-    @pytest.mark.parametrize("p", [0.0, 1.0, -0.2, 1.7])
+    @pytest.mark.parametrize("p", [
+        0.0, 1.0, -0.2, 1.7,
+        pytest.param(np.float64(0.0), id="float64-0.0"),
+        pytest.param(np.float64(1.0), id="float64-1.0"),
+        pytest.param(0, id="int-0"),
+        pytest.param(1, id="int-1"),
+        pytest.param(math.inf, id="inf"),
+        pytest.param(-math.inf, id="-inf"),
+        pytest.param(np.array([0.5, 1.0]), id="array"),
+    ])
     def test_domain_error(self, p):
-        with pytest.raises(DomainError):
-            gaussian(0, 1).quantile(p)
+        for est in (gaussian(0, 1), beta(2, 3), beta(2.3, 4.1, support=(-1.0, 3.0))):
+            with pytest.raises(DomainError):
+                est.quantile(p)
+
+    def test_nan_level_passes_through(self):
+        for est in (gaussian(0, 1), beta(2, 3)):
+            assert math.isnan(est.quantile(math.nan))
+            assert math.isnan(est.quantile(np.float64(math.nan)))
+            assert np.isnan(est.quantile(np.array([math.nan, 0.5]))[0])
 
     def test_matches_independent_inversion(self):
         assert gaussian(0, 1).quantile(0.6) == pytest.approx(normal_quantile_ref(0.6), abs=1e-9)
         assert beta(1.94, 3.32).quantile(0.5) == pytest.approx(
             beta_quantile_ref(0.5, 1.94, 3.32), abs=1e-9)
+
+
+class TestScalarPath:
+    """A float, np.float64 or int argument takes the scalar branch of ``cdf``
+    and ``quantile``; a 1-element array takes the array branch, the reference.
+    The two must agree bit for bit, since traces print the values with repr."""
+
+    @staticmethod
+    def _assert_same(fn, scalars, points):
+        ref = np.array([fn(np.array([v]))[0] for v in points])
+        got = [fn(s) for s in scalars]
+        assert all(type(r) is float for r in got)
+        mismatch = np.array(got).view(np.uint64) != ref.view(np.uint64)
+        assert not mismatch.any(), np.asarray(points)[mismatch][:5]
+
+    @pytest.mark.parametrize("est", [
+        gaussian(0.3, 1.7),
+        beta(1.94, 3.32),
+        beta(0.8, 1.7, support=(300.0, 850.0)),
+    ], ids=["gaussian", "beta", "beta-scores"])
+    def test_matches_array_path(self, est):
+        rng = np.random.default_rng(24)
+        if est.family is Family.GAUSSIAN:
+            mu, sigma = est.params
+            edges = [mu]
+            xs = rng.uniform(mu - 9 * sigma, mu + 9 * sigma, 3000)
+        else:
+            lo, hi = est.support
+            edges = [lo, hi, np.nextafter(lo, -math.inf), np.nextafter(lo, math.inf),
+                     np.nextafter(hi, -math.inf), np.nextafter(hi, math.inf)]
+            xs = rng.uniform(lo - (hi - lo) / 2, hi + (hi - lo) / 2, 3000)
+        xs = np.concatenate([[0.0, -0.0, math.inf, -math.inf], edges, xs])
+        for wrap in (float, np.float64):
+            self._assert_same(est.cdf, [wrap(x) for x in xs], xs)
+        ints = np.unique(np.floor(xs[np.isfinite(xs)]))
+        self._assert_same(est.cdf, [int(k) for k in ints], ints)
+
+        ps = np.concatenate([[5e-324, 1e-300, 1e-12, 0.5, 1 - 1e-12, np.nextafter(1.0, 0.0)],
+                             rng.uniform(0.0, 1.0, 3000)])
+        for wrap in (float, np.float64):
+            self._assert_same(est.quantile, [wrap(p) for p in ps], ps)
 
 
 class TestRoundTrips:

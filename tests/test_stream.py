@@ -9,7 +9,7 @@ import pytest
 from debiasim import runner
 from debiasim.config import config_from_dict
 from debiasim.dist import Family, beta, gaussian
-from debiasim.errors import InsufficientDataError, MalformedRowError
+from debiasim.errors import DomainError, InsufficientDataError, MalformedRowError
 from debiasim.policy import PopulationSpec
 from debiasim.stream import (
     SyntheticStream,
@@ -258,6 +258,12 @@ class TestFitInitialEstimate:
     def test_insufficient_data(self):
         with pytest.raises(InsufficientDataError):
             fit_initial_estimate([0.1, 0.2, 0.3, 0.4, 0.5], Family.BETA, (1.0, 3.0), 50.0)
+
+    @pytest.mark.parametrize("ref_level", [150.0, 0.0, 100.0, math.nan])
+    def test_ref_level_outside_range(self, ref_level):
+        scores = np.linspace(0.05, 0.95, 20)
+        with pytest.raises(DomainError, match=r"ref_level must be in \(0, 100\)"):
+            fit_initial_estimate(scores, Family.BETA, (1.0, 3.0), ref_level)
 
     def test_median_matches_oracle(self):
         # Large-sample median of Beta(1.94, 3.32) approaches the mpmath value.
