@@ -39,6 +39,7 @@ from .metrics import (
     error_weight,
     exploration_error,
     regret_increment,
+    weight_ref,
 )
 from .oracle import (
     MedianDensityQuery,

@@ -66,15 +66,19 @@ class ParametricEstimate:
 
     def __post_init__(self) -> None:
         if self.family is Family.GAUSSIAN:
-            if not self.params[1] > 0:
-                raise DomainError(f"gaussian sigma must be positive, got {self.params[1]}")
+            if not math.isfinite(self.params[0]):
+                raise DomainError(f"gaussian mean must be finite, got {self.params[0]}")
+            if not 0 < self.params[1] < _INF:
+                raise DomainError(
+                    f"gaussian sigma must be positive and finite, got {self.params[1]}")
             object.__setattr__(self, "support", (-_INF, _INF))
         else:
             a, b = self.params
-            if not (a > 0 and b > 0):
-                raise DomainError(f"beta shapes must be positive, got {self.params}")
-            if not self.support[0] < self.support[1]:
-                raise DomainError(f"beta support requires lo < hi, got {self.support}")
+            if not (0 < a < _INF and 0 < b < _INF):
+                raise DomainError(f"beta shapes must be positive and finite, got {self.params}")
+            lo, hi = self.support
+            if not (-_INF < lo < hi < _INF):
+                raise DomainError(f"beta support must be finite with lo < hi, got {self.support}")
         if not 0.0 < self.ref_level < 100.0:
             raise DomainError(f"ref_level must be in (0, 100), got {self.ref_level}")
         if self.unknown_index not in (0, 1):
@@ -206,21 +210,22 @@ def param_from_reference(
         a, b = (shape, known_params[1]) if unknown_index == 0 else (known_params[0], shape)
         return float(special.betaincinv(a, b, p)) - u
 
-    r_lo, r_hi = residual(_SHAPE_LO), residual(_SHAPE_HI)
+    root = bracketed_root(residual, _SHAPE_LO, _SHAPE_HI, 1e-10, 1e-12,
+                          f"beta shape for ref ({ref_level}%, {ref_value})")
+    return (root, known_params[1]) if unknown_index == 0 else (known_params[0], root)
+
+
+def bracketed_root(f, lo: float, hi: float, xtol: float, rtol: float, what: str) -> float:
+    """Root of ``f`` on [lo, hi]: an endpoint whose residual is exactly 0, else
+    ``brentq``'s. One sign at both ends raises NoSolutionError naming ``what``."""
+    r_lo, r_hi = f(lo), f(hi)
     if r_lo == 0.0:
-        root = _SHAPE_LO
-    elif r_hi == 0.0:
-        root = _SHAPE_HI
-    elif r_lo * r_hi > 0:
-        raise NoSolutionError(
-            f"cannot bracket beta shape in [{_SHAPE_LO}, {_SHAPE_HI}] "
-            f"for ref ({ref_level}%, {ref_value})"
-        )
-    else:
-        root = brentq(residual, _SHAPE_LO, _SHAPE_HI, xtol=1e-10, rtol=1e-12)
-    if unknown_index == 0:
-        return (float(root), known_params[1])
-    return (known_params[0], float(root))
+        return float(lo)
+    if r_hi == 0.0:
+        return float(hi)
+    if r_lo * r_hi > 0:
+        raise NoSolutionError(f"cannot bracket {what} in [{lo:.6g}, {hi:.6g}]")
+    return float(brentq(f, lo, hi, xtol=xtol, rtol=rtol))
 
 
 def gaussian(mu: float, sigma: float, ref_level: float = 50.0,

@@ -38,9 +38,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
-from .dist import Family, ParametricEstimate, gaussian
+from .dist import Family, ParametricEstimate, bracketed_root, gaussian
 from .errors import DomainError, NoSolutionError
 from .metrics import (
     OracleBaseline,
@@ -49,6 +48,7 @@ from .metrics import (
     error_weight,
     exploration_error,
     regret_increment,
+    weight_ref,
 )
 from .policy import (
     FairnessConstraint,
@@ -137,9 +137,11 @@ class ExplorationSchedule:
     def __post_init__(self) -> None:
         if not (0.0 <= self.eps_min <= self.eps0 <= 1.0):
             raise DomainError(f"need 0 <= eps_min <= eps0 <= 1, got {self.eps_min}, {self.eps0}")
-        if self.step <= 0:
+        if not self.step > 0:
             raise DomainError(f"step must be positive, got {self.step}")
-        if self.window < 1:
+        if not math.isfinite(self.gain):
+            raise DomainError(f"gain must be finite, got {self.gain}")
+        if not self.window >= 1:
             raise DomainError(f"window must be >= 1, got {self.window}")
 
 
@@ -274,15 +276,12 @@ def _norm_pdf(z: float) -> float:
 
 def _truncated_variance_factor(mu: float, sigma: float, a: float, b: float) -> float:
     """Var(X | a <= X <= b) / sigma^2 for X ~ N(mu, sigma^2)."""
-    alpha = (a - mu) / sigma if math.isfinite(a) else _NEG_INF
-    beta = (b - mu) / sigma if math.isfinite(b) else math.inf
-    phi_a = _norm_pdf(alpha) if math.isfinite(alpha) else 0.0
-    phi_b = _norm_pdf(beta) if math.isfinite(beta) else 0.0
-    cdf_a = float(special.ndtr(alpha)) if math.isfinite(alpha) else 0.0
-    cdf_b = float(special.ndtr(beta)) if math.isfinite(beta) else 1.0
-    mass = cdf_b - cdf_a
+    alpha, beta = (a - mu) / sigma, (b - mu) / sigma  # an infinite edge: pdf 0, ndtr 0 or 1
+    phi_a, phi_b = _norm_pdf(alpha), _norm_pdf(beta)
+    mass = float(special.ndtr(beta)) - float(special.ndtr(alpha))
     if mass <= 0.0:
         raise DomainError("truncation window carries no mass")
+    # inf * phi(inf) is NaN, not the limit 0.
     ap = alpha * phi_a if math.isfinite(alpha) else 0.0
     bp = beta * phi_b if math.isfinite(beta) else 0.0
     # Third term vanishes for windows symmetric about mu (phi(alpha) == phi(beta)).
@@ -307,17 +306,8 @@ def recover_sigma(s_trunc2: float, mu: float, a: float, b: float) -> float:
     def residual(sigma: float) -> float:
         return sigma * sigma * _truncated_variance_factor(mu, sigma, a, b) - s_trunc2
 
-    lo, hi = 1e-4 * root_scale, 1e4 * root_scale
-    r_lo, r_hi = residual(lo), residual(hi)
-    if r_lo == 0.0:
-        return lo
-    if r_hi == 0.0:
-        return hi
-    if r_lo * r_hi > 0:
-        raise NoSolutionError(
-            f"cannot bracket sigma for s^2={s_trunc2:.6g} on window [{a:.6g}, {b:.6g}]"
-        )
-    return float(brentq(residual, lo, hi, rtol=1e-9, xtol=1e-12))
+    return bracketed_root(residual, 1e-4 * root_scale, 1e4 * root_scale, 1e-12, 1e-9,
+                          f"sigma for s^2={s_trunc2:.6g} on window [{a:.6g}, {b:.6g}]")
 
 
 class Engine:
@@ -401,12 +391,9 @@ class Engine:
             if missing:
                 raise DomainError(f"the true population has no groups {missing}")
             self._oracle_g = np.array([self.oracle.thresholds[g] for g in self.groups])
-            self._weighted_ok = all(
-                d.family is Family.GAUSSIAN for d in truth.dists.values()
-            )
-            if self._weighted_ok:
-                self._truth_pair = [(truth.dists[(g, 0)], truth.dists[(g, 1)])
-                                    for g in self.groups]
+            self._weighted_ok = all(d.family is Family.GAUSSIAN for d in truth.dists.values())
+            if self._weighted_ok:  # indexed by pair code
+                self._weight_ref = np.array([weight_ref(truth.dists[k], k[1]) for k in self.pairs])
 
         self.two_param: Dict[PairKey, TwoParamState] = (
             {key: TwoParamState() for key in self.pairs} if spec.two_param else {})
@@ -657,9 +644,7 @@ class Engine:
             if len(nz):
                 steps = diff[nz]
                 self.cum_regret += int(steps.sum())
-                if self._weighted_ok:
-                    total = self.cum_weighted_regret
-                    for d, x, y, g in zip(steps.tolist(), xs[nz].tolist(), ys[nz].tolist(),
-                                          gi[nz].tolist()):
-                        total += d * error_weight(x, y, *self._truth_pair[g])
-                    self.cum_weighted_regret = total
+                if self._weighted_ok:  # summed left to right, in arrival order
+                    terms = steps * error_weight(xs[nz], self._weight_ref[pair[nz]])
+                    total = np.cumsum([self.cum_weighted_regret, *terms])[-1]
+                    self.cum_weighted_regret = float(total)

@@ -41,20 +41,20 @@ def regret_increment(engine_accept, oracle_accept, y):
     return loss_e - np.not_equal(oracle_accept, label1)
 
 
-def error_weight(x: float, y: int, true0: ParametricEstimate, true1: ParametricEstimate) -> float:
-    """Risk weight for a wrong decision on an agent at feature x.
-
-    Exponential in the distance from the four-standard-deviation reference
-    point of the relevant true distribution (above the mean for label 0,
-    below it for label 1). Defined for Gaussian truths only.
-    """
-    if true0.family is not Family.GAUSSIAN or true1.family is not Family.GAUSSIAN:
+def weight_ref(true: ParametricEstimate, y: int) -> float:
+    """Four-standard-deviation point of label y's Gaussian truth: above the
+    mean for label 0, below it for label 1."""
+    if true.family is not Family.GAUSSIAN:
         raise UnsupportedFamilyError("weighted regret is defined for Gaussian truths only")
-    if y == 0:
-        ref = true0.params[0] + 4.0 * true0.params[1]
-    else:
-        ref = true1.params[0] - 4.0 * true1.params[1]
-    return math.exp(abs(x - ref))
+    mu, sigma = true.params
+    return mu + 4.0 * sigma if y == 0 else mu - 4.0 * sigma
+
+
+def error_weight(x, ref):
+    """Risk weight exp(|x - ref|) of a wrong decision at feature x; elementwise,
+    each by ``math.exp`` (numpy's array exp can differ in the last bit)."""
+    d = np.abs(np.subtract(x, ref))
+    return math.exp(d) if d.ndim == 0 else np.array([math.exp(v) for v in d.tolist()])
 
 
 def exploration_error(

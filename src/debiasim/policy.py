@@ -31,6 +31,7 @@ Label = int
 PairKey = Tuple[GroupId, Label]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID, _TOL = 512, 1e-6  # coarse search grid points, golden-section tolerance
 
 
 class ConstraintKind(str, Enum):
@@ -45,7 +46,7 @@ class FairnessConstraint:
     tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
-        if self.tolerance < 0:
+        if not self.tolerance >= 0:
             raise DomainError(f"constraint tolerance must be >= 0, got {self.tolerance}")
 
 
@@ -93,7 +94,7 @@ def expected_loss(
     return loss
 
 
-def _golden_min(f, lo: float, hi: float, tol: float = 1e-6) -> float:
+def _golden_min(f, lo: float, hi: float, tol: float) -> float:
     """Golden-section minimum of a unimodal scalar function on [lo, hi]."""
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
@@ -117,14 +118,14 @@ def _search_range(estimates: Mapping[PairKey, ParametricEstimate]) -> Tuple[floa
     return min(los), max(his)
 
 
-def _grid_then_golden(f, lo: float, hi: float, grid: int, tol: float) -> float:
-    xs = np.linspace(lo, hi, grid)
+def _grid_then_golden(f, lo: float, hi: float, tol: float) -> float:
+    xs = np.linspace(lo, hi, _GRID)
     vals = np.array([f(x) for x in xs])
     if not np.any(np.isfinite(vals)):
         raise OptimizationError("objective is non-finite on the entire search grid")
     i = int(np.nanargmin(vals))
     a = xs[max(i - 1, 0)]
-    b = xs[min(i + 1, grid - 1)]
+    b = xs[min(i + 1, _GRID - 1)]
     return _golden_min(f, a, b, tol)
 
 
@@ -132,8 +133,6 @@ def solve_thresholds(
     estimates: Mapping[PairKey, ParametricEstimate],
     fractions: Mapping[PairKey, float],
     constraint: FairnessConstraint = FairnessConstraint(),
-    grid: int = 512,
-    tol: float = 1e-6,
 ) -> Dict[GroupId, float]:
     """Loss-minimizing per-group thresholds under the fairness constraint.
 
@@ -159,7 +158,7 @@ def solve_thresholds(
                     thresholds[g] = theta
                 return expected_loss(estimates, fractions, thresholds)
 
-            out.update(dict.fromkeys(members, _grid_then_golden(f, lo, hi, grid, tol)))
+            out.update(dict.fromkeys(members, _grid_then_golden(f, lo, hi, _TOL)))
         return out
 
     # Equality of opportunity: search over the shared true-positive rate.
@@ -169,7 +168,7 @@ def solve_thresholds(
     def f_tau(tau: float) -> float:
         return expected_loss(estimates, fractions, thetas_at(tau))
 
-    tau = _grid_then_golden(f_tau, 1e-4, 1.0 - 1e-4, grid, tol=1e-9)
+    tau = _grid_then_golden(f_tau, 1e-4, 1.0 - 1e-4, 1e-9)
     thetas = thetas_at(tau)
     gaps = [
         abs((1.0 - float(estimates[(g, 1)].cdf(thetas[g]))) - tau) for g in groups

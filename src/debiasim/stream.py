@@ -24,6 +24,7 @@ from .policy import GroupId, PopulationSpec
 
 # Arrivals drawn per block of a synthetic stream.
 _CHUNK = 8192
+_GRAD_TOL = 1e-4  # the scorer's gradient norm at which gradient descent stops
 
 
 class AgentRecord(NamedTuple):
@@ -213,7 +214,6 @@ def fit_scorer(
     features: Sequence[str],
     learn_rate: float = 0.1,
     iterations: int = 2000,
-    grad_tol: float = 1e-4,
 ) -> ScorerModel:
     """Full-batch gradient descent on the logistic loss.
 
@@ -243,11 +243,11 @@ def fit_scorer(
         w -= learn_rate * grad_w
         b -= learn_rate * grad_b
         grad_norm = float(np.sqrt(np.sum(grad_w**2) + grad_b**2))
-        if grad_norm < grad_tol:
+        if grad_norm < _GRAD_TOL:
             break
-    if grad_norm >= grad_tol:
+    if grad_norm >= _GRAD_TOL:
         warnings.warn(
-            f"scorer gradient norm {grad_norm:.3g} above tolerance {grad_tol} "
+            f"scorer gradient norm {grad_norm:.3g} above tolerance {_GRAD_TOL} "
             f"after {iterations} iterations",
             RuntimeWarning,
         )

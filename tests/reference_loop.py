@@ -40,7 +40,7 @@ from debiasim.engines import (
     advance_epsilon,
 )
 from debiasim.errors import DomainError
-from debiasim.metrics import RunTrace, error_weight, regret_increment
+from debiasim.metrics import RunTrace, error_weight, regret_increment, weight_ref
 from debiasim.policy import GroupId, PairKey
 from debiasim.stream import AgentRecord, ArrivalBlock
 
@@ -190,7 +190,7 @@ class ReferenceEngine(Engine):
                 self.cum_regret += diff
                 if self._weighted_ok:
                     self.cum_weighted_regret += diff * error_weight(
-                        x, y, self.truth.dists[(g, 0)], self.truth.dists[(g, 1)])
+                        x, weight_ref(self.truth.dists[(g, y)], y))
 
         if retained:
             self._retain_in_buffer((g, y), x, gp)

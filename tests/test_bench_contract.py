@@ -16,6 +16,7 @@ import pytest
 
 import debiasim
 from debiasim import engines, runner, stream
+from debiasim.errors import NoSolutionError
 from test_cli import base_dict
 
 BENCH_TRACE = Path(__file__).resolve().parents[1] / "perfbench" / "bench_trace.py"
@@ -83,13 +84,19 @@ def test_solver_wrappers_count_per_update(monkeypatch):
                      "lower_bound": 2 * (trace.final.t + 1)}
 
 
-def test_tracer_installs_on_program(monkeypatch, tmp_path):
-    # The benchmark's tracer wraps the program without changing what it
-    # writes, and times one update_reference call per pair per update.
+def load_bench_trace(monkeypatch):
+    """perfbench/bench_trace.py as a module, read without writing bytecode."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
     spec = importlib.util.spec_from_file_location("bench_trace", BENCH_TRACE)
     bench_trace = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(bench_trace)
+    return bench_trace
+
+
+def test_tracer_installs_on_program(monkeypatch, tmp_path):
+    # The benchmark's tracer wraps the program without changing what it
+    # writes, and times one update_reference call per pair per update.
+    bench_trace = load_bench_trace(monkeypatch)
     config = debiasim.config_from_dict(base_dict(horizon=3000))
     debiasim.run_single(config, 0).to_csv(tmp_path / "plain.csv")
     tracer = bench_trace.Tracer().install(debiasim)
@@ -101,3 +108,18 @@ def test_tracer_installs_on_program(monkeypatch, tmp_path):
     assert (tmp_path / "traced.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
     assert trace.final.t > 0
     assert tracer.calls("engines.update_reference") == len(trace.pairs) * trace.final.t
+
+
+def test_tracer_counts_sigma_failure(monkeypatch):
+    # The tracer counts a failed sigma recovery by the NoSolutionError that
+    # leaves engines.recover_sigma; a root find that caught it inside would
+    # leave engines.recover_sigma.failures at 0.
+    bench_trace = load_bench_trace(monkeypatch)
+    tracer = bench_trace.Tracer().install(debiasim)
+    try:
+        with pytest.raises(NoSolutionError, match="cannot bracket sigma"):
+            engines.recover_sigma(1.0, 0.5, 0.0, 1.0)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["engines.recover_sigma.failures"] == 1
+    assert tracer.calls("engines.recover_sigma") == 1

@@ -11,15 +11,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
+from debiasim import dist
 from debiasim.dist import (
     Family,
     TruncationWindow,
     beta,
+    bracketed_root,
     gaussian,
     param_from_reference,
 )
+from debiasim.engines import _truncated_variance_factor, recover_sigma
 from debiasim.errors import DegenerateWindowError, DomainError, NoSolutionError
 from helpers import beta_quantile_ref, normal_quantile_ref, truncated_cdf
 
@@ -271,6 +276,82 @@ class TestValidation:
     def test_ref_value_invariant(self):
         est = beta(2.5, 3.5, ref_level=72.0)
         assert abs(est.quantile(0.72) - est.ref_value) < 1e-7
+
+    @pytest.mark.parametrize("make,field", [
+        pytest.param(lambda: gaussian(math.nan, 1), "gaussian mean", id="mean-nan"),
+        pytest.param(lambda: gaussian(math.inf, 1), "gaussian mean", id="mean-inf"),
+        pytest.param(lambda: gaussian(-math.inf, 1), "gaussian mean", id="mean-neg-inf"),
+        pytest.param(lambda: gaussian(0, math.inf), "gaussian sigma", id="sigma-inf"),
+        pytest.param(lambda: gaussian(0, math.nan), "gaussian sigma", id="sigma-nan"),
+        pytest.param(lambda: beta(math.inf, 2), "beta shapes", id="shape-a-inf"),
+        pytest.param(lambda: beta(2, math.inf), "beta shapes", id="shape-b-inf"),
+        pytest.param(lambda: beta(2, 2, support=(0.0, math.inf)), "beta support", id="support-inf"),
+        pytest.param(lambda: beta(2, 2, support=(-math.inf, 1.0)), "beta support",
+                     id="support-neg-inf"),
+        pytest.param(lambda: beta(2, 2, support=(math.nan, 1.0)), "beta support",
+                     id="support-nan"),
+    ])
+    def test_non_finite_params(self, make, field):
+        with pytest.raises(DomainError, match=field):
+            make()
+
+
+class TestBracketedRoot:
+    @staticmethod
+    def bits(x: float) -> int:
+        return int(np.float64(x).view(np.uint64))
+
+    def test_endpoint_with_zero_residual(self, monkeypatch):
+        def no_brentq(*args, **kwargs):
+            raise AssertionError("brentq called")
+        monkeypatch.setattr(dist, "brentq", no_brentq)
+        assert bracketed_root(lambda x: x - 1.0, 1.0, 3.0, 1e-12, 1e-9, "x") == 1.0
+        assert bracketed_root(lambda x: x - 3.0, 1.0, 3.0, 1e-12, 1e-9, "x") == 3.0
+
+    def test_same_sign_bracket(self):
+        with pytest.raises(NoSolutionError, match=r"cannot bracket the widget in \[1, 3\]"):
+            bracketed_root(lambda x: x + 5.0, 1.0, 3.0, 1e-12, 1e-9, "the widget")
+
+    def test_beta_shape_residuals_match_brentq(self):
+        # param_from_reference's residual, bracket and tolerances.
+        rng = np.random.default_rng(2501)
+        checked = 0
+        for _ in range(300):
+            known, level = rng.uniform(0.3, 8.0), rng.uniform(5.0, 95.0)
+            p = level / 100.0
+            unknown_index = int(rng.integers(0, 2))
+            ref_value = float(beta(rng.uniform(0.3, 8.0), known).quantile(p))
+
+            def residual(shape, known=known, p=p, i=unknown_index, u=ref_value):
+                a, b = (shape, known) if i == 0 else (known, shape)
+                return float(special.betaincinv(a, b, p)) - u
+
+            if residual(1e-4) * residual(1e4) >= 0:
+                continue
+            want = brentq(residual, 1e-4, 1e4, xtol=1e-10, rtol=1e-12)
+            got = bracketed_root(residual, 1e-4, 1e4, 1e-10, 1e-12, "shape")
+            solved = param_from_reference(Family.BETA, (known, known), unknown_index,
+                                          level, ref_value)[unknown_index]
+            assert self.bits(got) == self.bits(want) == self.bits(solved)
+            checked += 1
+        assert checked > 250
+
+    def test_truncated_sigma_residuals_match_brentq(self):
+        # recover_sigma's residual, bracket and tolerances.
+        rng = np.random.default_rng(2502)
+        for _ in range(300):
+            mu, sigma = rng.uniform(-3.0, 3.0), rng.uniform(0.3, 2.5)
+            a = mu - rng.uniform(0.3, 3.0) * sigma
+            b = mu + rng.uniform(0.3, 3.0) * sigma
+            s2 = sigma**2 * _truncated_variance_factor(mu, sigma, a, b)
+
+            def residual(x, mu=mu, a=a, b=b, s2=s2):
+                return x * x * _truncated_variance_factor(mu, x, a, b) - s2
+
+            lo, hi = 1e-4 * math.sqrt(s2), 1e4 * math.sqrt(s2)
+            want = brentq(residual, lo, hi, xtol=1e-12, rtol=1e-9)
+            got = bracketed_root(residual, lo, hi, 1e-12, 1e-9, "sigma")
+            assert self.bits(got) == self.bits(want) == self.bits(recover_sigma(s2, mu, a, b))
 
 
 class TestTruncation:

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special
 
 from debiasim.config import config_from_dict
 from debiasim.dist import TruncationWindow, gaussian
@@ -199,6 +200,17 @@ class TestAdvanceEpsilon:
         with pytest.raises(DomainError):
             ExplorationSchedule(eps_min=0.5, eps0=0.2)
 
+    @pytest.mark.parametrize("kwargs,field", [
+        ({"step": math.nan}, "step"),
+        ({"window": math.nan}, "window"),
+        ({"mode": ScheduleMode.ADAPTIVE, "gain": math.nan}, "gain"),
+        ({"mode": ScheduleMode.ADAPTIVE, "gain": math.inf}, "gain"),
+    ])
+    def test_schedule_refuses_non_finite(self, kwargs, field):
+        # Each would make advance_epsilon return NaN after the first window.
+        with pytest.raises(DomainError, match=field):
+            ExplorationSchedule(**kwargs)
+
 
 class TestTwoParam:
     def test_first_sample(self):
@@ -250,6 +262,35 @@ class TestTwoParam:
         from debiasim.engines import _truncated_variance_factor
         s2 = 4.0 * _truncated_variance_factor(0.0, 2.0, -1.0, math.inf)
         assert recover_sigma(s2, 0.0, -1.0, math.inf) == pytest.approx(2.0, rel=1e-6)
+
+    @pytest.mark.parametrize("a_kind", ["neg_inf", "finite"])
+    @pytest.mark.parametrize("b_kind", ["finite", "inf"])
+    def test_variance_factor_matches_edge_branches(self, a_kind, b_kind):
+        # The factor lets IEEE arithmetic take the infinite edges; the
+        # branchy form below special-cases each of them.
+        from debiasim.engines import _norm_pdf, _truncated_variance_factor
+
+        def branchy(mu, sigma, a, b):
+            alpha = (a - mu) / sigma if math.isfinite(a) else -math.inf
+            beta = (b - mu) / sigma if math.isfinite(b) else math.inf
+            phi_a = _norm_pdf(alpha) if math.isfinite(alpha) else 0.0
+            phi_b = _norm_pdf(beta) if math.isfinite(beta) else 0.0
+            cdf_a = float(special.ndtr(alpha)) if math.isfinite(alpha) else 0.0
+            cdf_b = float(special.ndtr(beta)) if math.isfinite(beta) else 1.0
+            mass = cdf_b - cdf_a
+            ap = alpha * phi_a if math.isfinite(alpha) else 0.0
+            bp = beta * phi_b if math.isfinite(beta) else 0.0
+            return 1.0 + (ap - bp) / mass - ((phi_a - phi_b) / mass) ** 2
+
+        rng = np.random.default_rng(2503)
+        for _ in range(2000):
+            mu, sigma = rng.uniform(-5.0, 5.0), rng.uniform(0.05, 5.0)
+            lo, hi = sorted((mu + rng.uniform(-4.0, 4.0, size=2) * sigma).tolist())
+            a = lo if a_kind == "finite" else -math.inf
+            b = hi if b_kind == "finite" else math.inf
+            want = branchy(mu, sigma, a, b)
+            got = _truncated_variance_factor(mu, sigma, a, b)
+            assert np.float64(got).view(np.uint64) == np.float64(want).view(np.uint64)
 
 
 # -- engine-level behavior --------------------------------------------------

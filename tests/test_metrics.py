@@ -3,6 +3,7 @@
 import logging
 import math
 
+import numpy as np
 import pytest
 
 from debiasim.dist import beta, gaussian
@@ -14,6 +15,7 @@ from debiasim.metrics import (
     error_weight,
     exploration_error,
     regret_increment,
+    weight_ref,
 )
 from helpers import row_at_samples
 
@@ -43,28 +45,33 @@ class TestRegretIncrement:
 
 
 class TestWeightedRegret:
-    # The engine weights each regret increment by error_weight.
+    # The engine weights each regret increment by error_weight at the
+    # weight_ref of the arrival's true (group, label) distribution.
     T0 = gaussian(7, 1)
     T1 = gaussian(10, 1)
 
+    def weight(self, x, y):
+        return error_weight(x, weight_ref((self.T0, self.T1)[y], y))
+
     def weighted(self, x, y, engine_accept, oracle_accept):
-        return error_weight(x, y, self.T0, self.T1) * regret_increment(
-            engine_accept, oracle_accept, y)
+        return self.weight(x, y) * regret_increment(engine_accept, oracle_accept, y)
 
     def test_fp_at_reference(self):
         # reference for label-0 errors sits at mu0 + 4*sigma0 = 11
-        assert error_weight(11.0, 0, self.T0, self.T1) == pytest.approx(1.0)
+        assert weight_ref(self.T0, 0) == 11.0
+        assert self.weight(11.0, 0) == pytest.approx(1.0)
 
     def test_fp_one_past_reference(self):
-        assert error_weight(12.0, 0, self.T0, self.T1) == pytest.approx(math.e)
+        assert self.weight(12.0, 0) == pytest.approx(math.e)
 
     def test_fp_below_reference_grows(self):
         # deeper (lower-x) wrong admits cost more
-        assert error_weight(8.0, 0, self.T0, self.T1) == pytest.approx(math.exp(3.0))
+        assert self.weight(8.0, 0) == pytest.approx(math.exp(3.0))
 
     def test_fn_reference(self):
         # label-1 reference sits at mu1 - 4*sigma1 = 6
-        assert error_weight(6.0, 1, self.T0, self.T1) == pytest.approx(1.0)
+        assert weight_ref(self.T1, 1) == 6.0
+        assert self.weight(6.0, 1) == pytest.approx(1.0)
 
     def test_no_difference_is_zero(self):
         assert self.weighted(9.0, 1, True, True) == 0.0
@@ -75,8 +82,23 @@ class TestWeightedRegret:
         assert up > 0 > down
 
     def test_non_gaussian_truth(self):
-        with pytest.raises(UnsupportedFamilyError):
-            error_weight(0.5, 0, beta(2, 5), beta(5, 2))
+        for y, truth in enumerate((beta(2, 5), beta(5, 2))):
+            with pytest.raises(UnsupportedFamilyError):
+                weight_ref(truth, y)
+
+    def test_elementwise_is_math_exp_bit_for_bit(self):
+        # Two groups, both labels: the engine's per-pair-code reference array.
+        truths = [gaussian(7, 1), gaussian(10, 1), gaussian(6.5, 1.5), gaussian(9.5, 0.8)]
+        refs = np.array([weight_ref(t, k % 2) for k, t in enumerate(truths)])
+        rng = np.random.default_rng(25)
+        pair = rng.integers(0, 4, size=4000)
+        xs = rng.normal(8.5, 2.5, size=4000)
+        got = error_weight(xs, refs[pair])
+        want = np.array([math.exp(abs(x - r)) for x, r in zip(xs.tolist(), refs[pair].tolist())])
+        assert got.dtype == np.float64 and got.shape == xs.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        scalar = error_weight(float(xs[0]), float(refs[pair[0]]))
+        assert type(scalar) is float and scalar == want[0]
 
 
 class TestExplorationError:

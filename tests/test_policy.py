@@ -46,6 +46,13 @@ class TestExpectedLoss:
         assert expected_loss(ests, fracs, {"a": 1e8}) == pytest.approx(0.7, abs=1e-9)
 
 
+@pytest.mark.parametrize("tolerance", [-1e-6, float("nan")])
+def test_constraint_tolerance_must_be_nonnegative(tolerance):
+    # A NaN tolerance would switch off the equal-opportunity residual check.
+    with pytest.raises(DomainError, match="tolerance"):
+        FairnessConstraint(ConstraintKind.EQUAL_OPPORTUNITY, tolerance)
+
+
 class TestSolveThresholds:
     def test_midpoint(self):
         ests, fracs = one_group(gaussian(7, 1), gaussian(10, 1))

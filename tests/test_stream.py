@@ -265,6 +265,12 @@ class TestFitInitialEstimate:
         with pytest.raises(DomainError, match=r"ref_level must be in \(0, 100\)"):
             fit_initial_estimate(scores, Family.BETA, (1.0, 3.0), ref_level)
 
+    def test_nan_score_refused(self):
+        # np.percentile carries the NaN into the fitted mean.
+        scores = [4.0, 5.0, 6.0, float("nan"), 8.0, 9.0, 10.0, 11.0, 12.0, 13.0]
+        with pytest.raises(DomainError, match="gaussian mean must be finite"):
+            fit_initial_estimate(scores, Family.GAUSSIAN, (0.0, 1.0), ref_level=50.0)
+
     def test_median_matches_oracle(self):
         # Large-sample median of Beta(1.94, 3.32) approaches the mpmath value.
         rng = np.random.default_rng(9)
