@@ -13,7 +13,6 @@ from .dist import (
     TruncationWindow,
     beta,
     gaussian,
-    param_from_reference,
 )
 from .engines import (
     BatchBuffer,

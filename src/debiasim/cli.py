@@ -24,7 +24,7 @@ from .config import (
     load_config,
     seed_list,
 )
-from .dist import Family, ParametricEstimate, TruncationWindow
+from .dist import Family, ParametricEstimate, TruncationWindow, gaussian
 from .engines import UpdateMode
 from .errors import ConfigError, DebiasimError
 from .policy import lower_bound, require_both_labels, solve_thresholds
@@ -34,8 +34,9 @@ from .stream import finite_float, fit_initial_estimate, fit_scorer
 
 def _arg(rule, parse, test, expected: str):
     """An argparse ``type=``: ``parse`` the text, pass the value through
-    config's ``rule`` and require ``test`` of it. argparse reports a refused
-    value with the option's name and exit status 2."""
+    config's ``rule`` and require ``test`` of it, which may also raise a
+    DomainError. argparse reports a refused value with the option's name and
+    exit status 2."""
     def convert(text: str):
         try:
             value = rule(parse(text), "")
@@ -50,7 +51,7 @@ def _arg(rule, parse, test, expected: str):
 _finite = _arg(_number, float, lambda v: True, "a finite number")
 _positive = _arg(_number, float, lambda v: v > 0, "a positive finite number")
 _fraction = _arg(_number, float, lambda v: 0 < v <= 1, "a number in (0, 1]")
-_level = _arg(_number, float, lambda v: 0 < v < 100, "a number in (0, 100)")
+_level = _arg(_number, float, lambda v: gaussian(0.0, 1.0, ref_level=v), "a number in (0, 100)")
 _non_negative_int = _arg(_int, int, lambda v: v >= 0, "a non-negative integer")
 _positive_int = _arg(_int, int, lambda v: v > 0, "a positive integer")
 
@@ -58,11 +59,8 @@ _positive_int = _arg(_int, int, lambda v: v > 0, "a positive integer")
 def _parse_seeds(text: str) -> List[int]:
     try:
         seeds = [int(s) for s in text.split(",") if s.strip() != ""]
-        if any(s < 0 for s in seeds):
-            raise ValueError
     except ValueError:
-        raise ConfigError(f"--seeds: expected comma-separated non-negative integers, "
-                          f"got {text!r}") from None
+        raise ConfigError(f"--seeds: expected comma-separated integers, got {text!r}") from None
     return seed_list(seeds, "--seeds")
 
 
@@ -167,7 +165,8 @@ def _read_scores(args) -> List[float]:
 def _cmd_fitdist(args) -> int:
     scores = _read_scores(args)
     family = Family(args.family)
-    known = (args.known, args.known)  # unknown slot is overwritten by the solve
+    # The solve overwrites the unknown slot; 1.0 is valid in every family's slot.
+    known = (1.0, args.known) if args.unknown_index == 0 else (args.known, 1.0)
     support = _parse_pair(args.support, "--support") if args.support else (0.0, 1.0)
     est = fit_initial_estimate(scores, family, known, ref_level=args.ref_level,
                                support=support, unknown_index=args.unknown_index)

@@ -88,11 +88,14 @@ def _optional_str(value, path: str) -> Optional[str]:
 
 
 def seed_list(seeds: Sequence[int], path: str) -> List[int]:
-    """``seeds`` as a list, or a ConfigError at ``path`` if it is empty or
-    repeats a seed.
+    """``seeds`` as a list, or a ConfigError at ``path`` unless it is a
+    non-empty sequence of distinct non-negative integers.
 
     Artifacts are named by seed, so a repeat would overwrite its own trace
     and count twice in the summary."""
+    if (isinstance(seeds, str) or not isinstance(seeds, Sequence)
+            or not all(type(s) is int and s >= 0 for s in seeds)):
+        raise ConfigError(f"{path}: expected a list of non-negative integers, got {seeds!r}")
     if not seeds:
         raise ConfigError(f"{path}: at least one seed required")
     repeated = sorted(s for s, k in Counter(seeds).items() if k > 1)
@@ -297,10 +300,6 @@ def config_from_dict(raw: Mapping) -> RunConfig:
             eps0=_number(eps_raw.get("eps0", 1.0), "config.epsilon.eps0"),
         )
 
-    seeds = raw.get("seeds", [0])
-    if not isinstance(seeds, list) or not all(type(s) is int and s >= 0 for s in seeds):
-        raise ConfigError(f"config.seeds: expected a list of non-negative integers, got {seeds!r}")
-
     return RunConfig(
         engine=engine,
         source=source,
@@ -310,7 +309,7 @@ def config_from_dict(raw: Mapping) -> RunConfig:
         schedule=schedule,
         batch_gate=_int(raw.get("batch_gate", 50), "config.batch_gate"),
         horizon=_int(_require(raw, "horizon", "config"), "config.horizon"),
-        seeds=tuple(seeds),
+        seeds=tuple(seed_list(raw.get("seeds", [0]), "config.seeds")),
         truth=truth,
         update_mode=update_mode,
         out_dir=_optional_str(raw.get("out_dir"), "config.out_dir"),

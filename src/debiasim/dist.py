@@ -152,67 +152,39 @@ class ParametricEstimate:
         return x
 
     def with_ref_value(self, ref_value: float) -> "ParametricEstimate":
-        """Re-solve the unknown parameter so the reference point equals ``ref_value``."""
-        params = param_from_reference(
-            self.family,
-            self.params,
-            self.unknown_index,
-            self.ref_level,
-            ref_value,
-            support=self.support,
-        )
-        return replace(self, params=params)
+        """Re-solve the unknown parameter so the reference point equals ``ref_value``.
 
+        Gaussian with unknown mean has the closed form mu = ref_value - sigma*z(p).
+        The remaining cases are monotone in the unknown parameter and solved by a
+        bracketed root find; failure to bracket inside [1e-4, 1e4] (Beta shapes)
+        raises NoSolutionError.
+        """
+        p = self.ref_level / 100.0
+        known = self.params[1 - self.unknown_index]
+        if self.family is Family.GAUSSIAN:
+            z = float(special.ndtri(p))
+            if self.unknown_index == 0:
+                return replace(self, params=(ref_value - known * z, known))
+            if abs(z) < 1e-12:
+                raise NoSolutionError("sigma is unidentifiable from the median reference point")
+            sigma = (ref_value - known) / z
+            if not sigma > 0:
+                raise NoSolutionError(f"ref_value {ref_value} is on the wrong side of "
+                                      f"mu={known} for level {self.ref_level}")
+            return replace(self, params=(known, sigma))
 
-def param_from_reference(
-    family: Family,
-    known_params: Tuple[float, float],
-    unknown_index: int,
-    ref_level: float,
-    ref_value: float,
-    support: Tuple[float, float] = (0.0, 1.0),
-) -> Tuple[float, float]:
-    """Map a reference-point percentile back to the single unknown parameter.
+        lo, hi = self.support
+        if not lo < ref_value < hi:
+            raise DomainError(f"ref_value {ref_value} outside beta support [{lo}, {hi}]")
+        u = (ref_value - lo) / (hi - lo)
 
-    Gaussian with unknown mean has the closed form mu = ref_value - sigma*z(p).
-    The remaining cases are monotone in the unknown parameter and solved by a
-    bracketed root find; failure to bracket inside [1e-4, 1e4] (Beta shapes)
-    raises NoSolutionError.
-    """
-    p = ref_level / 100.0
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"ref_level must be in (0, 100), got {ref_level}")
+        def residual(shape: float) -> float:
+            a, b = (shape, known) if self.unknown_index == 0 else (known, shape)
+            return float(special.betaincinv(a, b, p)) - u
 
-    if family is Family.GAUSSIAN:
-        z = float(special.ndtri(p))
-        if unknown_index == 0:
-            mu = ref_value - known_params[1] * z
-            return (mu, known_params[1])
-        mu = known_params[0]
-        if abs(z) < 1e-12:
-            raise NoSolutionError("sigma is unidentifiable from the median reference point")
-        sigma = (ref_value - mu) / z
-        if not sigma > 0:
-            raise NoSolutionError(
-                f"ref_value {ref_value} is on the wrong side of mu={mu} for level {ref_level}"
-            )
-        return (mu, sigma)
-
-    known = known_params[1 - unknown_index]
-    if not 0.0 < known < _INF:
-        raise DomainError(f"the known beta shape must be positive and finite, got {known}")
-    lo, hi = support
-    if not lo < ref_value < hi:
-        raise DomainError(f"ref_value {ref_value} outside beta support [{lo}, {hi}]")
-    u = (ref_value - lo) / (hi - lo)
-
-    def residual(shape: float) -> float:
-        a, b = (shape, known_params[1]) if unknown_index == 0 else (known_params[0], shape)
-        return float(special.betaincinv(a, b, p)) - u
-
-    root = bracketed_root(residual, _SHAPE_LO, _SHAPE_HI, 1e-10, 1e-12,
-                          f"beta shape for ref ({ref_level}%, {ref_value})")
-    return (root, known_params[1]) if unknown_index == 0 else (known_params[0], root)
+        root = bracketed_root(residual, _SHAPE_LO, _SHAPE_HI, 1e-10, 1e-12,
+                              f"beta shape for ref ({self.ref_level}%, {ref_value})")
+        return replace(self, params=(root, known) if self.unknown_index == 0 else (known, root))
 
 
 def bracketed_root(f, lo: float, hi: float, xtol: float, rtol: float, what: str) -> float:

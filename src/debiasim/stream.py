@@ -18,8 +18,8 @@ from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .dist import Family, ParametricEstimate, param_from_reference
-from .errors import DomainError, InsufficientDataError, MalformedRowError
+from .dist import Family, ParametricEstimate
+from .errors import InsufficientDataError, MalformedRowError
 from .policy import GroupId, PopulationSpec
 
 # Arrivals drawn per block of a synthetic stream.
@@ -272,15 +272,12 @@ def fit_initial_estimate(
     """Fit the single unknown parameter from an empirical percentile.
 
     Takes the empirical ref_level-percentile of the scores and maps it back
-    through the family's quantile function.
+    through the family's quantile function. ``known_params`` must be valid
+    parameters of the family, with any placeholder in the unknown slot.
     """
-    if not 0.0 < ref_level < 100.0:
-        raise DomainError(f"ref_level must be in (0, 100), got {ref_level}")
+    est = ParametricEstimate(family, known_params, ref_level=ref_level,
+                             support=support, unknown_index=unknown_index)
     arr = np.asarray(list(scores), dtype=float)
     if arr.size < 10:
         raise InsufficientDataError(f"need at least 10 scores, got {arr.size}")
-    ref_value = float(np.percentile(arr, ref_level))
-    params = param_from_reference(family, known_params, unknown_index,
-                                  ref_level, ref_value, support=support)
-    return ParametricEstimate(family, params, ref_level=ref_level,
-                              support=support, unknown_index=unknown_index)
+    return est.with_ref_value(float(np.percentile(arr, ref_level)))

@@ -5,18 +5,24 @@
 * Monte-Carlo sample medians, checked against ``oracle.median_density``;
 * the truncated cdf that the sampling tests check draws against;
 * the logistic loss that the scorer tests evaluate a fit with;
-* the trace row in force at a given arrival count.
+* the trace row in force at a given arrival count;
+* an Adult-style scored CSV and the equal-opportunity replay config built on
+  it, with initial fits through ``fit_initial_estimate``.
 """
 
 from __future__ import annotations
 
+import csv
+
 import mpmath as mp
 import numpy as np
 
-from debiasim.dist import ParametricEstimate, TruncationWindow
+from debiasim.config import RunConfig, config_from_dict
+from debiasim.dist import Family, ParametricEstimate, TruncationWindow
 from debiasim.errors import DegenerateWindowError, DomainError
 from debiasim.metrics import RunTrace, TraceRow
 from debiasim.oracle import MedianDensityQuery
+from debiasim.stream import fit_initial_estimate, read_scored_csv
 
 mp.mp.dps = 50
 
@@ -105,3 +111,67 @@ def row_at_samples(trace: RunTrace, samples: int) -> TraceRow:
         else:
             break
     return chosen
+
+
+# -- Adult-style scored replay --------------------------------------------------
+
+# (group, label) -> the generating Beta (a, b); b is the known shape.
+ADULT_STYLE = {
+    ("a", 1): (1.94, 3.32), ("a", 0): (1.13, 4.99),
+    ("b", 1): (1.97, 3.53), ("b", 0): (1.19, 6.10),
+}
+REPLAY_FRACS = {("a", 0): 0.35, ("a", 1): 0.35, ("b", 0): 0.15, ("b", 1): 0.15}
+
+
+def write_adult_style_csv(path, n: int, seed: int) -> None:
+    """``n`` scored rows (x, y, g): pairs drawn by ``REPLAY_FRACS``, scores
+    from that pair's ``ADULT_STYLE`` Beta."""
+    rng = np.random.default_rng(seed)
+    pairs = sorted(REPLAY_FRACS)
+    probs = np.array([REPLAY_FRACS[k] for k in pairs])
+    idx = rng.choice(len(pairs), size=n, p=probs)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["x", "y", "g"])
+        for i in idx:
+            g, y = pairs[i]
+            a_true, b_known = ADULT_STYLE[(g, y)]
+            writer.writerow([repr(float(rng.beta(a_true, b_known))), y, g])
+
+
+def adult_style_replay_config(path: str, n: int, epsilon: dict, shuffle: bool,
+                              seeds) -> RunConfig:
+    """Active debiasing under equal opportunity over the ``n``-row CSV at
+    ``path``. The initial fits come from its leading 2.5% through
+    ``fit_initial_estimate``, then are skewed to emulate a biased historical
+    training set (the situation the engine is there to correct)."""
+    head = read_scored_csv(path)[: int(0.025 * n)]
+    initial = {}
+    for (g, y), (_, b_known) in ADULT_STYLE.items():
+        ref = 50.0 if y == 1 else 60.0
+        scores = [r.x for r in head if r.g == g and r.y == y]
+        initial[g] = initial.get(g, {})
+        est = fit_initial_estimate(scores, Family.BETA, (1.0, b_known), ref_level=ref)
+        skew = 0.75 if y == 1 else 1.3
+        initial[g][str(y)] = {"family": "beta",
+                              "params": [skew * est.params[0], est.params[1]],
+                              "ref_level": ref, "support": [0.0, 1.0]}
+
+    population = {
+        g: {str(y): {"family": "beta", "params": list(ADULT_STYLE[(g, y)]),
+                     "ref_level": 50.0 if y == 1 else 60.0, "support": [0.0, 1.0]}
+            for y in (0, 1)}
+        for g in ("a", "b")
+    }
+    return config_from_dict({
+        "engine": "active_debiasing",
+        "source": {"kind": "csv_replay", "path": path, "shuffle": shuffle},
+        "fractions": {"a": {"0": 0.35, "1": 0.35}, "b": {"0": 0.15, "1": 0.15}},
+        "population": population,
+        "initial_estimates": initial,
+        "fairness": {"kind": "equal_opportunity", "tolerance": 1e-6},
+        "epsilon": epsilon,
+        "batch_gate": 50,
+        "horizon": n,
+        "seeds": list(seeds),
+    })

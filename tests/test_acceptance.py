@@ -5,8 +5,6 @@ per criterion. The multi-seed engine runs are shared across criteria through
 module-scoped fixtures; total runtime stays within a few minutes.
 """
 
-import csv
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -28,7 +26,14 @@ from debiasim.policy import (
     solve_thresholds,
 )
 from debiasim.runner import run_many, run_single
-from helpers import normal_cdf_ref, normal_quantile_ref, row_at_samples, simulate_medians
+from helpers import (
+    adult_style_replay_config,
+    normal_cdf_ref,
+    normal_quantile_ref,
+    row_at_samples,
+    simulate_medians,
+    write_adult_style_csv,
+)
 
 SEEDS_20 = list(range(20))
 TRUE_OMEGA = {50.0: {0: 7.0, 1: 10.0}, 60.0: {0: 7.2533471031358, 1: 10.0}}
@@ -350,65 +355,13 @@ def test_criterion_11_determinism(tmp_path):
     report("11 determinism", ok, f"trace files byte-identical ({len(a)} bytes)")
 
 
-ADULT_STYLE = {
-    ("a", 1): (1.94, 3.32), ("a", 0): (1.13, 4.99),
-    ("b", 1): (1.97, 3.53), ("b", 0): (1.19, 6.10),
-}
-REPLAY_FRACS = {("a", 0): 0.35, ("a", 1): 0.35, ("b", 0): 0.15, ("b", 1): 0.15}
-
-
 def test_replay_pipeline_recovers_beta_truth(tmp_path):
     """Scored-CSV replay: initial fits from 2.5% of rows, then the engine
     debiases toward the generating Beta parameters."""
-    rng = np.random.default_rng(2024)
     n = 30000
-    pairs = sorted(REPLAY_FRACS)
-    probs = np.array([REPLAY_FRACS[k] for k in pairs])
-    idx = rng.choice(len(pairs), size=n, p=probs)
     path = tmp_path / "scored.csv"
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "g"])
-        for i in idx:
-            g, y = pairs[i]
-            a_true, b_known = ADULT_STYLE[(g, y)]
-            writer.writerow([repr(float(rng.beta(a_true, b_known))), y, g])
-
-    # pipeline step 1: initial fits from the leading 2.5%, then skewed to
-    # emulate a biased historical training set (the situation the engine is
-    # there to correct)
-    from debiasim.stream import fit_initial_estimate, read_scored_csv
-    from debiasim.dist import Family
-    head = read_scored_csv(path)[: int(0.025 * n)]
-    initial = {}
-    for (g, y), (_, b_known) in ADULT_STYLE.items():
-        ref = 50.0 if y == 1 else 60.0
-        scores = [r.x for r in head if r.g == g and r.y == y]
-        initial[g] = initial.get(g, {})
-        est = fit_initial_estimate(scores, Family.BETA, (1.0, b_known), ref_level=ref)
-        skew = 0.75 if y == 1 else 1.3
-        initial[g][str(y)] = {"family": "beta",
-                              "params": [skew * est.params[0], est.params[1]],
-                              "ref_level": ref, "support": [0.0, 1.0]}
-
-    population = {
-        g: {str(y): {"family": "beta", "params": list(ADULT_STYLE[(g, y)]),
-                     "ref_level": 50.0 if y == 1 else 60.0, "support": [0.0, 1.0]}
-            for y in (0, 1)}
-        for g in ("a", "b")
-    }
-    cfg = config_from_dict({
-        "engine": "active_debiasing",
-        "source": {"kind": "csv_replay", "path": str(path), "shuffle": False},
-        "fractions": {"a": {"0": 0.35, "1": 0.35}, "b": {"0": 0.15, "1": 0.15}},
-        "population": population,
-        "initial_estimates": initial,
-        "fairness": {"kind": "equal_opportunity", "tolerance": 1e-6},
-        "epsilon": FIXED,
-        "batch_gate": 50,
-        "horizon": n,
-        "seeds": [0, 1, 2],
-    })
+    write_adult_style_csv(path, n, seed=2024)
+    cfg = adult_style_replay_config(str(path), n, FIXED, shuffle=False, seeds=[0, 1, 2])
     worst_final, start_means, end_means = 0.0, [], []
     for seed in (0, 1, 2):
         trace = run_single(cfg, seed)

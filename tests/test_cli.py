@@ -1,6 +1,7 @@
 """Config handling, runner artifacts, and CLI subcommands."""
 
 import csv
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -163,6 +164,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match=f"^{re.escape(field)}:"):
             config_from_dict(base_dict(**over))
 
+    def test_replaced_config_negative_seed_refused(self):
+        # Was accepted before.
+        cfg = config_from_dict(base_dict())
+        with pytest.raises(ConfigError, match="^seeds: expected a list of non-negative"):
+            dataclasses.replace(cfg, seeds=(-1,))
+
     def test_epsilon_must_be_a_mapping(self):
         # Reported "'list' object has no attribute 'get'" before.
         with pytest.raises(ConfigError, match=r"^config\.epsilon: expected a mapping"):
@@ -317,7 +324,8 @@ class TestCli:
         # Each ran the repeated seed twice before: one trace file, and
         # summary.json listed and averaged it twice. An empty override wrote
         # a summary of no runs.
-        with pytest.raises(ConfigError, match=r"^seeds: each seed may appear once; repeated \[0\]"):
+        with pytest.raises(ConfigError,
+                           match=r"^config\.seeds: each seed may appear once; repeated \[0\]"):
             config_from_dict(base_dict(seeds=[0, 1, 0]))
         cfg = config_from_dict(base_dict())
         with pytest.raises(ConfigError, match=r"^seeds: .*repeated \[2\]"):
@@ -332,6 +340,14 @@ class TestCli:
         assert code == 2
         assert capsys.readouterr().err.startswith("error: --seeds: ")
         assert not (tmp_path / "cli").exists()
+
+    def test_run_many_negative_seed_refused(self, tmp_path):
+        # Created the directory, then died in SeedSequence with a bare
+        # ValueError before.
+        cfg = config_from_dict(base_dict())
+        with pytest.raises(ConfigError, match="^seeds: expected a list of non-negative"):
+            run_many(cfg, out_dir=str(tmp_path / "api"), seeds=[-1])
+        assert not (tmp_path / "api").exists()
 
     def test_seed_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
@@ -419,6 +435,17 @@ class TestCli:
         payload = json.loads(capsys.readouterr().out)
         assert abs(payload["estimate"]["params"][0] - 1.94) < 0.1
 
+    def test_fitdist_known_mean_unknown_sigma(self, tmp_path, capsys):
+        # The known mean -3 must not fill the sigma slot the solve overwrites.
+        scores = tmp_path / "scores.csv"
+        scores.write_text("x\n" + "".join(f"{(k - 45) / 10!r}\n" for k in range(31)))
+        code = main(["fitdist", "--scores", str(scores), "--family", "gaussian",
+                     "--known", "-3", "--unknown-index", "1", "--ref-level", "60"])
+        assert code == 0
+        estimate = json.loads(capsys.readouterr().out)["estimate"]
+        assert estimate == {"family": "gaussian", "params": [-3.0, 1.1841461626628236],
+                            "ref_level": 60.0, "unknown_index": 1}
+
     @pytest.mark.parametrize("argv", [
         ["fitdist", "--family", "beta", "--known", "3", "--column", "nope"],
         ["fitdist", "--family", "beta", "--known", "3", "--filter", "nope=1"],
@@ -462,7 +489,10 @@ class TestCli:
             f"error: {scores}: row 13: column 'x' holds 'nan', not a finite number")
 
     @pytest.mark.parametrize("argv, named", [
-        (["fitdist", "--family", "beta", "--known", "-1"], "known beta shape"),
+        # The row keeps the id it had when the message named the known shape.
+        pytest.param(["fitdist", "--family", "beta", "--known", "-1"],
+                     "beta shapes must be positive",
+                     id="fitdist --family beta --known -1-known beta shape"),
         (["fitdist", "--family", "beta", "--known", "nan"], "--known"),
         (["fitdist", "--family", "gaussian", "--known", "inf"], "--known"),
         (["fitdist", "--family", "beta", "--known", "3", "--ref-level", "nan"], "--ref-level"),

@@ -22,10 +22,10 @@ from debiasim.dist import (
     beta,
     bracketed_root,
     gaussian,
-    param_from_reference,
 )
 from debiasim.engines import _truncated_variance_factor, recover_sigma
 from debiasim.errors import DegenerateWindowError, DomainError, NoSolutionError
+from debiasim.stream import fit_initial_estimate
 from helpers import beta_quantile_ref, normal_quantile_ref, truncated_cdf
 
 # mpmath oracle values
@@ -204,38 +204,40 @@ class TestRoundTrips:
 
 class TestParamFromReference:
     def test_gaussian_median_identity(self):
-        params = param_from_reference(Family.GAUSSIAN, (0.0, 1.0), 0, 50.0, 7.0)
+        params = gaussian(0.0, 1.0).with_ref_value(7.0).params
         assert params[0] == pytest.approx(7.0, abs=1e-9)
 
     def test_gaussian_ref60(self):
         # mpmath oracle: mu = ref_value - z(0.6)
-        params = param_from_reference(Family.GAUSSIAN, (0.0, 1.0), 0, 60.0, 6 + Z_060)
+        params = gaussian(0.0, 1.0, ref_level=60.0).with_ref_value(6 + Z_060).params
         assert params[0] == pytest.approx(6.0, abs=1e-7)
 
     def test_beta_median_round_trip(self):
         # mpmath oracle: median of Beta(1.94, 3.32)
-        params = param_from_reference(Family.BETA, (1.0, 3.32), 0, 50.0, BETA_194_332_MEDIAN)
+        params = beta(1.0, 3.32).with_ref_value(BETA_194_332_MEDIAN).params
         assert params[0] == pytest.approx(1.94, abs=1e-4)
 
     def test_gaussian_sigma_unknown(self):
-        params = param_from_reference(Family.GAUSSIAN, (5.0, 1.0), 1, 84.1344746, 7.0)
+        est = gaussian(5.0, 1.0, ref_level=84.1344746, unknown_index=1)
+        params = est.with_ref_value(7.0).params
         assert params[1] == pytest.approx(2.0, abs=1e-6)
 
     def test_gaussian_sigma_no_solution(self):
         with pytest.raises(NoSolutionError):
-            param_from_reference(Family.GAUSSIAN, (5.0, 1.0), 1, 60.0, 4.0)
+            gaussian(5.0, 1.0, ref_level=60.0, unknown_index=1).with_ref_value(4.0)
 
     def test_ref_value_outside_support(self):
         with pytest.raises(DomainError):
-            param_from_reference(Family.BETA, (2.0, 3.0), 0, 50.0, 1.5)
+            beta(2.0, 3.0).with_ref_value(1.5)
 
     @pytest.mark.parametrize("known", [-1.0, 0.0, float("nan"), float("inf")])
     @pytest.mark.parametrize("unknown_index", [0, 1])
     def test_beta_known_shape_must_be_positive_and_finite(self, known, unknown_index):
-        # Each died in brentq with a bare ValueError before.
-        params = (known, known)
-        with pytest.raises(DomainError, match="known beta shape"):
-            param_from_reference(Family.BETA, params, unknown_index, 50.0, 0.4)
+        # The estimate built from the known shape refuses it before the solve.
+        params = (1.0, known) if unknown_index == 0 else (known, 1.0)
+        with pytest.raises(DomainError, match="beta shapes must be positive"):
+            fit_initial_estimate([0.4] * 10, Family.BETA, params, 50.0,
+                                 unknown_index=unknown_index)
 
     def test_identity_property(self):
         rng = np.random.default_rng(11)
@@ -246,9 +248,7 @@ class TestParamFromReference:
             else:
                 est = beta(rng.uniform(0.3, 8), rng.uniform(0.3, 8),
                            ref_level=rng.uniform(5, 95))
-            solved = param_from_reference(est.family, est.params, 0,
-                                          est.ref_level, est.ref_value,
-                                          support=est.support)
+            solved = est.with_ref_value(est.ref_value).params
             assert abs(solved[0] - est.params[0]) < 1e-4
 
     def test_with_ref_value_consistency(self):
@@ -313,7 +313,7 @@ class TestBracketedRoot:
             bracketed_root(lambda x: x + 5.0, 1.0, 3.0, 1e-12, 1e-9, "the widget")
 
     def test_beta_shape_residuals_match_brentq(self):
-        # param_from_reference's residual, bracket and tolerances.
+        # with_ref_value's Beta residual, bracket and tolerances.
         rng = np.random.default_rng(2501)
         checked = 0
         for _ in range(300):
@@ -330,8 +330,8 @@ class TestBracketedRoot:
                 continue
             want = brentq(residual, 1e-4, 1e4, xtol=1e-10, rtol=1e-12)
             got = bracketed_root(residual, 1e-4, 1e4, 1e-10, 1e-12, "shape")
-            solved = param_from_reference(Family.BETA, (known, known), unknown_index,
-                                          level, ref_value)[unknown_index]
+            solved = beta(known, known, ref_level=level, unknown_index=unknown_index
+                          ).with_ref_value(ref_value).params[unknown_index]
             assert self.bits(got) == self.bits(want) == self.bits(solved)
             checked += 1
         assert checked > 250

@@ -8,6 +8,11 @@ that changes traces on purpose re-records these values and says why.
 The two ``+window_median`` cases run the baseline engines with the
 window-median update rule. No preset uses that pairing, and it is where the
 label-0 retention rule differs between bounded and baseline engines.
+
+The replay case runs the ``csv_replay`` path: a seeded Adult-style scored
+CSV, initial fits through ``fit_initial_estimate``, equal opportunity,
+shuffled. The CSV is named relative to the run directory, because the
+config hash in the trace's first line covers ``source.path``.
 """
 
 import hashlib
@@ -18,6 +23,7 @@ import pytest
 
 from debiasim.config import config_from_dict, load_config
 from debiasim.runner import run_many
+from helpers import adult_style_replay_config, write_adult_style_csv
 
 PRESET_DIR = Path(__file__).resolve().parents[1] / "src" / "debiasim" / "presets"
 
@@ -40,6 +46,11 @@ GOLDEN = {
         "9f251570f5f27ae8a797ae274cdfcb3bc5f9ac719d833b46bc675b6872eba7f7",
 }
 
+REPLAY_ROWS = 10000
+REPLAY_GOLDEN = "fa2d6aa467248f784db4382021cebb1c9dc8927da7ac1ef97fe3cb799078378c"
+REPLAY_EPSILON = {"mode": "fixed_step", "step": 0.1, "window": 3000, "eps_min": 0.05,
+                  "eps0": 1.0}
+
 
 def _config(case: str):
     stem, _, mode = case.partition("+")
@@ -61,3 +72,13 @@ def test_seed0_trace_sha256(case, tmp_path):
     run_many(_config(case), out_dir=str(tmp_path), seeds=[0])
     digest = hashlib.sha256((tmp_path / "trace_0.csv").read_bytes()).hexdigest()
     assert digest == GOLDEN[case]
+
+
+def test_replay_seed0_trace_sha256(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    write_adult_style_csv("replay.csv", REPLAY_ROWS, seed=2024)
+    cfg = adult_style_replay_config("replay.csv", REPLAY_ROWS, REPLAY_EPSILON, shuffle=True,
+                                    seeds=[0])
+    run_many(cfg, out_dir="out", seeds=[0])
+    digest = hashlib.sha256((tmp_path / "out" / "trace_0.csv").read_bytes()).hexdigest()
+    assert digest == REPLAY_GOLDEN
